@@ -26,15 +26,15 @@
 //   serve_fleet_mt    8 shards on the selected pool (informational)
 //   serve_churn       serve_fleet_mt plus a fail/revive every --churn
 //                     ticks (informational; rebuild cost included)
-//   churn_full        service-path stall per churn event with
-//                     synchronous full rebuilds (async_rebuild off):
-//                     what fail_node()/revive_node() cost before the
-//                     off-thread pipeline existed
-//   churn_patched     the same stall with async delta-patched rebuilds
-//                     (the default config) — the gated row: its
-//                     `throughput_ref` ratio against churn_full is the
-//                     CI floor on the churn-event speedup; rows report
-//                     events (ns_per_localization = ns per event)
+//   rebuild_wholesale median time of one FaceMapBuilder::build_division
+//                     per fail/revive event on the hierarchical roster,
+//                     tier and index built from scratch
+//   rebuild_patched   the same events with the tier and index patched
+//                     against the served division (the fleet's rebuild
+//                     path); rows report rebuilds (ns_per_localization =
+//                     ns per rebuild)
+//   churn_stall       service-thread stall per accepted fail/revive call
+//                     on a serving hierarchical fleet (informational)
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "core/batch_matcher.hpp"
+#include "core/facemap_builder.hpp"
 #include "core/facemap_cache.hpp"
 #include "core/sampling_vector.hpp"
 #include "serve/fleet.hpp"
@@ -116,6 +117,7 @@ struct Row {
   std::size_t threads;
   std::string ref;    ///< throughput_ref row name; empty = ungated
   std::string extra;  ///< raw JSON fields appended to the row; empty = none
+  std::string unit{"loc"};  ///< what one ns_per_localization measures
 };
 
 /// Bit-exact update equality: the determinism contract compares whole
@@ -252,16 +254,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Every churn schedule: event 2i fails node i, event 2i+1 revives it.
+  const auto schedule_event = [&](std::size_t k, std::uint64_t tick) {
+    return ChurnEvent{tick, static_cast<NodeId>(k / 2 % roster.size()), k % 2 == 0};
+  };
+
   // Gate 2: the same equivalence through deployment churn, tracks held.
   std::vector<ChurnEvent> churn_events;
   {
-    NodeId node = 0;
-    bool fail_next = true;
-    for (std::uint64_t tick = opt.churn; tick < opt.ticks; tick += opt.churn) {
-      churn_events.push_back({tick, node, fail_next});
-      if (!fail_next) node = static_cast<NodeId>((node + 1) % roster.size());
-      fail_next = !fail_next;
-    }
+    for (std::uint64_t tick = opt.churn; tick < opt.ticks; tick += opt.churn)
+      churn_events.push_back(schedule_event(churn_events.size(), tick));
 
     TrackManagerFleet fleet = make_fleet(2, mt_pool, false);
     SerialReplay replay(base_config.track, fleet.map(), fleet.table(),
@@ -364,8 +366,8 @@ int main(int argc, char** argv) {
           churned = true;
         }
         // serve_churn keeps the historical semantics: the rebuild cost
-        // lands inside the timed window (the stall-vs-async split is
-        // what the churn_full/churn_patched rows measure).
+        // lands inside the timed window (the rebuild rows time the
+        // rebuild itself, churn_stall the service-thread call).
         if (churned) fleet.flush_rebuilds();
         for (const ReportFrame& frame : stream[tick]) fleet.submit(frame);
         for (const TrackUpdate& u : fleet.tick())
@@ -392,69 +394,88 @@ int main(int argc, char** argv) {
   time_fleet("serve_fleet_mt", 8, mt_pool, mt_pool.thread_count(), {}, "");
   time_fleet("serve_churn", 8, mt_pool, mt_pool.thread_count(), churn_events, "");
 
-  // Churn-event stall rows: what the *service thread* pays per accepted
-  // fail/revive call. churn_full restores the pre-async semantics (the
-  // division rebuild runs inside the call); churn_patched is the default
-  // config (alive-mirror flip + rebuild enqueue; the delta-patched
-  // rebuild runs off-thread and is settled outside the stall clock).
-  // Both fleets serve hierarchically — the full row rebuilds the coarse
-  // tier and index wholesale, the patched row delta-patches them.
+  /// Churn-row metric: the *median* per-event time (on a small-core box
+  /// the scheduler sometimes preempts one event for a whole quantum; the
+  /// median rejects those artifacts), mean and p99 as extra fields.
+  const auto median_row = [&](const std::string& name, std::vector<double> ns,
+                              const std::string& unit) {
+    double sum = 0.0;
+    for (const double v : ns) sum += v;
+    std::sort(ns.begin(), ns.end());
+    const double p50 = ns[ns.size() / 2];
+    std::ostringstream extra;
+    extra.precision(6);
+    extra << "\"unit\": \"" << unit << "\", \"events\": " << ns.size()
+          << ", \"mean_ns\": " << sum / static_cast<double>(ns.size())
+          << ", \"p99_ns\": " << ns[std::min(ns.size() - 1, ns.size() * 99 / 100)];
+    rows.push_back({name, opt.tracks, p50, 1e9 / p50, mt_pool.thread_count(), "",
+                    extra.str(), unit});
+  };
+  std::vector<ChurnEvent> schedule;
+  for (std::size_t k = 0; k < (opt.fast ? 12u : 40u); ++k)
+    schedule.push_back(schedule_event(k, 0));
+
+  // Rebuild rows: the division work one churn event costs, i.e. what
+  // staleness after churn waits for. Two builders over the hierarchical
+  // roster take the schedule; per event each times one
+  // FaceMapBuilder::build_division — wholesale (no previous division)
+  // and patched (against the division it served). Events interleave the
+  // two so both see the same machine state, and every patched division
+  // must match its wholesale twin.
   {
-    const std::size_t kEvents = opt.fast ? std::size_t{12} : std::size_t{40};
-    const auto stall_row = [&](const std::string& name, bool async, bool patch,
-                               const std::string& ref) {
-      TrackManagerFleet::Config c = base_config;
-      c.shards = 8;
-      c.track.hierarchical = true;
-      c.async_rebuild = async;
-      c.patch_division = patch;
-      TrackManagerFleet fleet(roster, channel.C, cfg.field, cfg.grid_cell, c,
-                              mt_pool, nullptr);
-      // Hold a full track slate so the stall is measured on a fleet that
-      // is actually serving (adoption walks every shard).
-      for (const ReportFrame& frame : stream[0]) fleet.submit(frame);
-      (void)fleet.tick();
-
-      std::vector<double> event_ns;
-      event_ns.reserve(kEvents);
-      NodeId node = 0;
-      bool fail_next = true;
-      for (std::size_t e = 0; e < kEvents; ++e) {
-        const auto t0 = now();
-        const bool ok =
-            fail_next ? fleet.fail_node(node) : fleet.revive_node(node);
-        event_ns.push_back(seconds(now() - t0) * 1e9);
-        if (!ok) fail(name + ": churn event refused");
-        if (!fail_next) node = static_cast<NodeId>((node + 1) % roster.size());
-        fail_next = !fail_next;
-        // Outside the stall clock: settle the rebuild so every event
-        // measures the full enqueue path, never a coalesced no-op.
-        fleet.flush_rebuilds();
+    FaceMapBuilder wholesale(roster, channel.C, cfg.field, cfg.grid_cell, mt_pool);
+    FaceMapBuilder patching(roster, channel.C, cfg.field, cfg.grid_cell, mt_pool);
+    (void)wholesale.build_division(true);
+    Division served = patching.build_division(true);
+    std::vector<double> wholesale_ns, patched_ns;
+    for (const ChurnEvent& e : schedule) {
+      for (FaceMapBuilder* b : {&wholesale, &patching}) {
+        if (e.fail)
+          b->deactivate(e.node);
+        else
+          b->activate(e.node);
       }
-      if (fleet.stats().tracks != opt.tracks) fail(name + ": dropped tracks");
-      if (fleet.stats().rebuilds != kEvents)
-        fail(name + ": rebuild count != events");
+      auto t0 = now();
+      const Division want = wholesale.build_division(true);
+      wholesale_ns.push_back(seconds(now() - t0) * 1e9);
+      t0 = now();
+      Division got = patching.build_division(true, &served);
+      patched_ns.push_back(seconds(now() - t0) * 1e9);
+      if (got.members != want.members || got.map->face_count() != want.map->face_count() ||
+          got.hier->bytes() != want.hier->bytes() ||
+          got.index->mixed_entries() != want.index->mixed_entries())
+        fail("rebuild_patched diverges from rebuild_wholesale");
+      served = std::move(got);
+    }
+    median_row("rebuild_wholesale", std::move(wholesale_ns), "rebuild");
+    median_row("rebuild_patched", std::move(patched_ns), "rebuild");
+  }
 
-      // The row metric is the *median* per-event stall: on a small-core
-      // box the scheduler sometimes runs the freshly enqueued off-thread
-      // rebuild before the enqueuing call returns, which would charge a
-      // full rebuild to the async row's mean. The median rejects those
-      // preemption artifacts; mean and p99 stay visible as extra fields.
-      double sum = 0.0;
-      for (const double v : event_ns) sum += v;
-      const double mean = sum / static_cast<double>(kEvents);
-      std::sort(event_ns.begin(), event_ns.end());
-      const double p50 = event_ns[kEvents / 2];
-      const double p99 = event_ns[std::min(kEvents - 1, kEvents * 99 / 100)];
-      std::ostringstream extra;
-      extra.precision(6);
-      extra << "\"events\": " << kEvents << ", \"mean_ns\": " << mean
-            << ", \"p99_ns\": " << p99;
-      rows.push_back({name, opt.tracks, p50, 1e9 / p50,
-                      mt_pool.thread_count(), ref, extra.str()});
-    };
-    stall_row("churn_full", false, false, "");
-    stall_row("churn_patched", true, true, "churn_full");
+  // churn_stall: what the *service thread* pays per accepted fail/revive
+  // call on a serving hierarchical fleet — the alive-mirror flip plus the
+  // rebuild enqueue; the rebuild itself runs off-thread and is settled
+  // outside the clock, so no event is a coalesced no-op.
+  {
+    TrackManagerFleet::Config c = base_config;
+    c.shards = 8;
+    c.track.hierarchical = true;
+    TrackManagerFleet fleet(roster, channel.C, cfg.field, cfg.grid_cell, c, mt_pool,
+                            nullptr);
+    // Hold a full track slate so the stall is measured on a fleet that is
+    // actually serving (adoption walks every shard).
+    for (const ReportFrame& frame : stream[0]) fleet.submit(frame);
+    (void)fleet.tick();
+    std::vector<double> event_ns;
+    for (const ChurnEvent& e : schedule) {
+      const auto t0 = now();
+      const bool ok = e.fail ? fleet.fail_node(e.node) : fleet.revive_node(e.node);
+      event_ns.push_back(seconds(now() - t0) * 1e9);
+      if (!ok) fail("churn_stall: churn event refused");
+      fleet.flush_rebuilds();
+    }
+    if (fleet.stats().tracks != opt.tracks) fail("churn_stall: dropped tracks");
+    if (fleet.stats().rebuilds != schedule.size()) fail("churn_stall: rebuild count != events");
+    median_row("churn_stall", std::move(event_ns), "event");
   }
   (void)sink;
 
@@ -463,20 +484,10 @@ int main(int argc, char** argv) {
             << ", ticks=" << opt.ticks << ", frames=" << opt.tracks * opt.ticks
             << ", localized=" << scalar_locs
             << ", mt threads=" << mt_pool.thread_count() << ")\n";
-  const auto row_named = [&](const std::string& name) -> const Row* {
-    for (const Row& r : rows)
-      if (r.name == name) return &r;
-    return nullptr;
-  };
   for (const Row& r : rows) {
-    const bool churn_row = r.name == "churn_full" || r.name == "churn_patched";
-    const char* unit = churn_row ? "event" : "loc";
     std::cout << "  " << r.name << ": " << r.ns_per_localization << " ns/"
-              << unit << ", " << r.localizations_per_sec << " " << unit << "/s";
-    const Row* base = !r.ref.empty()       ? row_named(r.ref)
-                      : churn_row          ? nullptr
-                      : r.name != "scalar_per_track" ? &rows[0]
-                                                     : nullptr;
+              << r.unit << ", " << r.localizations_per_sec << " " << r.unit << "/s";
+    const Row* base = r.unit == "loc" && r.name != "scalar_per_track" ? &rows[0] : nullptr;
     if (base)
       std::cout << ", ratio "
                 << r.localizations_per_sec / base->localizations_per_sec << "x vs "

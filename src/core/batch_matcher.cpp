@@ -104,9 +104,6 @@ struct BatchMatcher::DescentScratch {
   std::vector<std::int32_t> iv;  ///< integral component values
 };
 
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map)
-    : BatchMatcher(std::move(map), Config{}, ThreadPool::global()) {}
-
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
                            ThreadPool& pool)
     : map_(std::move(map)), config_(config), pool_(&pool),
@@ -114,9 +111,6 @@ BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
   FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
   FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
 }
-
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table)
-    : BatchMatcher(std::move(map), std::move(table), Config{}, ThreadPool::global()) {}
 
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table,
                            Config config, ThreadPool& pool)
@@ -128,10 +122,6 @@ BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable ta
   FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
   FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
 }
-
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map,
-                           std::shared_ptr<const SignatureTable> table)
-    : BatchMatcher(std::move(map), std::move(table), Config{}, ThreadPool::global()) {}
 
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map,
                            std::shared_ptr<const SignatureTable> table, Config config,

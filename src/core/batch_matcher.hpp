@@ -41,41 +41,36 @@ namespace fttt {
 class HierFaceMap;
 class SignatureIndex;
 
+struct BatchMatcherConfig {
+  /// Accumulator columns per block: the block's doubles plus one plane
+  /// segment should stay L1-resident (1024 -> 8 KiB acc + 1 KiB plane).
+  std::size_t face_block{1024};
+  /// Batches below this size run on the caller; pool fan-out overhead
+  /// would exceed the matching work.
+  std::size_t min_parallel_batch{16};
+};
+
 class BatchMatcher {
  public:
-  struct Config {
-    /// Accumulator columns per block: the block's doubles plus one plane
-    /// segment should stay L1-resident (1024 -> 8 KiB acc + 1 KiB plane).
-    std::size_t face_block{1024};
-    /// Batches below this size run on the caller; pool fan-out overhead
-    /// would exceed the matching work.
-    std::size_t min_parallel_batch{16};
-  };
+  using Config = BatchMatcherConfig;
 
   /// Builds the SoA table from `map` (throws std::invalid_argument on
-  /// null). `pool` serves every subsequent match() fan-out. (Two
-  /// overloads because a nested class's member initializers cannot feed
-  /// a default argument of the enclosing class.)
-  explicit BatchMatcher(std::shared_ptr<const FaceMap> map);
-  BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
-               ThreadPool& pool = ThreadPool::global());
+  /// null). `pool` serves every subsequent match() fan-out.
+  explicit BatchMatcher(std::shared_ptr<const FaceMap> map, Config config = {},
+                        ThreadPool& pool = ThreadPool::global());
 
   /// Adopt a prebuilt SoA table (the zero-transposition handoff from
   /// FaceMapBuilder::take_signature_table). Throws std::invalid_argument
   /// when `map` is null or `table` disagrees with it in face count or
-  /// dimension. (Two overloads for the same nested-class reason.)
-  BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table);
+  /// dimension.
   BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table,
-               Config config, ThreadPool& pool = ThreadPool::global());
+               Config config = {}, ThreadPool& pool = ThreadPool::global());
 
   /// Share an already-built SoA table (e.g. a FaceMapCache entry): several
   /// matchers over the same map then pay for one transposition total.
-  /// Same validation as the adopting constructors; throws on null table.
-  /// (Two overloads for the same nested-class reason.)
+  /// Same validation as the adopting constructor; throws on null table.
   BatchMatcher(std::shared_ptr<const FaceMap> map,
-               std::shared_ptr<const SignatureTable> table);
-  BatchMatcher(std::shared_ptr<const FaceMap> map,
-               std::shared_ptr<const SignatureTable> table, Config config,
+               std::shared_ptr<const SignatureTable> table, Config config = {},
                ThreadPool& pool = ThreadPool::global());
 
   /// Localize every vector of `batch`; results[i] is the match of

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -830,6 +831,34 @@ HierFaceMap FaceMapBuilder::patch_hierarchy(const HierFaceMap& prev,
         "FaceMapBuilder::patch_hierarchy: no table — build() first "
         "(and take_signature_table() consumes it)");
   return HierFaceMap::patched(prev, *table_, delta, *pool_, report);
+}
+
+Division FaceMapBuilder::build_division(bool hierarchical, const Division* prev) {
+  Division d;
+  d.map = std::make_shared<const FaceMap>(build());
+  // The tier reads the stored table, so it comes off the builder before
+  // take_signature_table() below consumes it.
+  if (hierarchical) {
+    if (prev && prev->hier && prev->index) {
+      const DivisionDelta delta = delta_since(*prev->map, *d.map);
+      if (delta.valid) {
+        HierPatchReport report;
+        d.hier = std::make_shared<const HierFaceMap>(
+            patch_hierarchy(*prev->hier, delta, &report));
+        if (report.structure_matched)
+          d.index = std::make_shared<const SignatureIndex>(
+              SignatureIndex::patched(*d.hier, *prev->index, delta, report, *pool_));
+      }
+    }
+    if (!d.hier) d.hier = std::make_shared<const HierFaceMap>(build_hierarchy());
+    if (!d.index)
+      d.index = std::make_shared<const SignatureIndex>(SignatureIndex::build(*d.hier, *pool_));
+  }
+  d.table = std::make_shared<const SignatureTable>(take_signature_table());
+  d.members.reserve(active_count());
+  for (NodeId id = 0; id < roster_.size(); ++id)
+    if (active_[id]) d.members.push_back(id);
+  return d;
 }
 
 }  // namespace fttt

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/vec2.hpp"
+#include "core/division.hpp"
 #include "core/division_delta.hpp"
 #include "core/facemap.hpp"
 #include "core/hier_facemap.hpp"
@@ -162,6 +163,17 @@ class FaceMapBuilder {
   /// table and std::invalid_argument on a delta that does not connect.
   HierFaceMap patch_hierarchy(const HierFaceMap& prev, const DivisionDelta& delta,
                               HierPatchReport* report = nullptr) const;
+
+  /// The servable division of the current active set in one call — the
+  /// only place that sequences build(), the coarse tier and
+  /// take_signature_table() (which consumes the table the tier reads).
+  /// Flat (`hierarchical` false): map, table and members; hier/index
+  /// stay null. Hierarchical: when `prev` carries a tier and
+  /// delta_since(*prev->map, map) connects, the tier is patched along
+  /// the delta — and the index too when the patch reports
+  /// structure_matched; whatever was not patched is built wholesale.
+  /// Bit-identical either way. Same throws as build().
+  Division build_division(bool hierarchical, const Division* prev = nullptr);
 
   // -- Introspection (benches, tests, obs) ---------------------------------
 

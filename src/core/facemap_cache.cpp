@@ -91,17 +91,8 @@ FaceMapCache::Entry FaceMapCache::get_or_build(const Deployment& nodes, double C
   // deadlock even if every pool worker is itself waiting on the cache.
   try {
     FTTT_OBS_SPAN("facemap.cache.build");
-    FaceMapBuilder builder(nodes, C, field, cell_size, pool);
-    Entry entry;
-    entry.map = std::make_shared<const FaceMap>(builder.build());
-    // The coarse tier must come off the builder before the take below
-    // consumes the stored table; the index then derives from the tier
-    // alone. Both are one streaming pass — cheap against the division.
-    entry.hier = std::make_shared<const HierFaceMap>(builder.build_hierarchy());
-    entry.index =
-        std::make_shared<const SignatureIndex>(SignatureIndex::build(*entry.hier, pool));
-    entry.table =
-        std::make_shared<const SignatureTable>(builder.take_signature_table());
+    const Entry entry =
+        FaceMapBuilder(nodes, C, field, cell_size, pool).build_division(/*hierarchical=*/true);
     promise.set_value(entry);
     const std::size_t entry_bytes = entry.map->bytes() + entry.table->bytes() +
                                     entry.hier->bytes() + entry.index->bytes();

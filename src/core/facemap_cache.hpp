@@ -8,7 +8,7 @@
 // positions, the ratio constant, the field extent and the grid cell
 // size, byte-serialized so two configurations share an entry exactly
 // when FaceMap::build would produce bit-identical output — and hands
-// out shared, immutable {FaceMap, SignatureTable} pairs. With the
+// out shared, immutable divisions (core/division.hpp). With the
 // cache, a Table-1-style sweep builds each unique map once instead of
 // once per trial.
 //
@@ -35,10 +35,7 @@
 #include <unordered_map>
 
 #include "common/vec2.hpp"
-#include "core/facemap.hpp"
-#include "core/hier_facemap.hpp"
-#include "core/signature_index.hpp"
-#include "core/signature_table.hpp"
+#include "core/division.hpp"
 #include "net/sensor.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -46,18 +43,14 @@ namespace fttt {
 
 class FaceMapCache {
  public:
-  /// One cached division: the face map, its SoA signature table
-  /// (BatchMatcher / FtttTracker adopt the table without
-  /// re-transposing), and the coarse descent tier over it
-  /// (BatchMatcher::attach_hierarchy shares it across matchers). The
-  /// tier derives deterministically from the table, so the existing
-  /// content key covers it — same key, same coarse masks.
-  struct Entry {
-    std::shared_ptr<const FaceMap> map;
-    std::shared_ptr<const SignatureTable> table;
-    std::shared_ptr<const HierFaceMap> hier;
-    std::shared_ptr<const SignatureIndex> index;
-  };
+  /// One cached division (core/division.hpp): the face map, its SoA
+  /// signature table (BatchMatcher / FtttTracker adopt the table without
+  /// re-transposing), the coarse descent tier over it
+  /// (BatchMatcher::attach_hierarchy shares it across matchers) and the
+  /// full roster as members. The tier derives deterministically from the
+  /// table, so the existing content key covers it — same key, same
+  /// coarse masks.
+  using Entry = Division;
 
   struct Stats {
     std::size_t hits{0};       ///< lookups served from an existing entry

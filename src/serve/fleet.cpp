@@ -7,19 +7,6 @@
 
 namespace fttt {
 
-namespace {
-
-/// Alive global ids of `builder`, ascending (roster ids are dense).
-std::vector<NodeId> alive_members(const FaceMapBuilder& builder) {
-  std::vector<NodeId> members;
-  members.reserve(builder.roster_size());
-  for (NodeId id = 0; id < builder.roster_size(); ++id)
-    if (builder.is_active(id)) members.push_back(id);
-  return members;
-}
-
-}  // namespace
-
 TrackManagerFleet::TrackManagerFleet(Deployment roster, double C, const Aabb& field,
                                      double cell_size, Config config, ThreadPool& pool,
                                      FaceMapCache* cache)
@@ -34,34 +21,23 @@ TrackManagerFleet::TrackManagerFleet(Deployment roster, double C, const Aabb& fi
 
   builder_ = std::make_unique<FaceMapBuilder>(roster_, C, field, cell_size, pool);
   if (cache) {
-    const FaceMapCache::Entry entry =
-        cache->get_or_build(roster_, C, field, cell_size, pool);
-    map_ = entry.map;
-    table_ = entry.table;
-    // The cache entry always carries the coarse tier; the fleet hands it
-    // to shards only in hierarchical mode so flat fleets keep the flat
-    // SoA sweep.
-    if (config_.track.hierarchical) {
-      hier_ = entry.hier;
-      index_ = entry.index;
+    division_ = cache->get_or_build(roster_, C, field, cell_size, pool);
+    // The cache entry always carries the coarse tier; flat fleets drop it
+    // to keep the flat SoA sweep.
+    if (!config_.track.hierarchical) {
+      division_.hier.reset();
+      division_.index.reset();
     }
   } else {
-    map_ = std::make_shared<const FaceMap>(builder_->build());
-    if (config_.track.hierarchical)
-      hier_ = std::make_shared<const HierFaceMap>(builder_->build_hierarchy());
-    table_ = std::make_shared<const SignatureTable>(builder_->take_signature_table());
-    if (config_.track.hierarchical)
-      index_ = std::make_shared<const SignatureIndex>(SignatureIndex::build(*hier_, pool));
+    division_ = builder_->build_division(config_.track.hierarchical);
   }
-  members_ = alive_members(*builder_);
   alive_.assign(roster_.size(), 1);
   alive_n_ = roster_.size();
 
   shards_.reserve(config_.shards);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
+  for (std::size_t s = 0; s < config_.shards; ++s)
     shards_.push_back(std::make_unique<TrackShard>(config_.track, pool));
-    shards_.back()->adopt_division(map_, table_, members_, hier_, index_);
-  }
+  hand_division_to_shards();
   route_frames_.resize(config_.shards);
   route_slots_.resize(config_.shards);
   route_updates_.resize(config_.shards);
@@ -72,7 +48,15 @@ TrackManagerFleet::~TrackManagerFleet() {
   rebuild_cv_.wait(lk, [&] { return !rebuild_inflight_; });
 }
 
+bool TrackManagerFleet::admit(const ReportFrame& frame) {
+  if (frame.group.node_count() == roster_.size()) return true;
+  malformed_.fetch_add(1, std::memory_order_relaxed);
+  FTTT_OBS_COUNT("serve.malformed", 1);
+  return false;
+}
+
 bool TrackManagerFleet::submit(ReportFrame frame) {
+  if (!admit(frame)) return false;
   const BoundedQueue<ReportFrame>::PushResult r =
       queue_.push_shed_oldest(std::move(frame));
   if (r.accepted) {
@@ -87,6 +71,7 @@ bool TrackManagerFleet::submit(ReportFrame frame) {
 }
 
 bool TrackManagerFleet::try_submit(ReportFrame frame) {
+  if (!admit(frame)) return false;
   if (queue_.try_push(std::move(frame))) {
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     FTTT_OBS_COUNT("serve.enqueued", 1);
@@ -98,6 +83,7 @@ bool TrackManagerFleet::try_submit(ReportFrame frame) {
 }
 
 bool TrackManagerFleet::submit_wait(ReportFrame frame) {
+  if (!admit(frame)) return false;
   if (queue_.push_wait(std::move(frame))) {
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     FTTT_OBS_COUNT("serve.enqueued", 1);
@@ -162,39 +148,15 @@ std::vector<TrackUpdate> TrackManagerFleet::tick() {
   return updates;
 }
 
-void TrackManagerFleet::adopt_rebuilt_division() {
-  const std::uint64_t t0 = FTTT_OBS_NOW_NS();
-  map_ = std::make_shared<const FaceMap>(builder_->build());
-  // The tier comes off the builder *before* take_signature_table
-  // consumes the stored table; one tier/index per division, shared
-  // across every shard.
-  if (config_.track.hierarchical)
-    hier_ = std::make_shared<const HierFaceMap>(builder_->build_hierarchy());
-  table_ = std::make_shared<const SignatureTable>(builder_->take_signature_table());
-  if (config_.track.hierarchical)
-    index_ = std::make_shared<const SignatureIndex>(SignatureIndex::build(*hier_, *pool_));
-  members_ = alive_members(*builder_);
+void TrackManagerFleet::hand_division_to_shards() {
   for (const std::unique_ptr<TrackShard>& shard : shards_)
-    shard->adopt_division(map_, table_, members_, hier_, index_);
-  ++rebuilds_;
-  FTTT_OBS_COUNT("serve.rebuilds", 1);
-  const std::uint64_t t1 = FTTT_OBS_NOW_NS();
-  if (t1 > t0)
-    FTTT_OBS_HIST("serve.rebuild.latency", "us",
-                  static_cast<double>(t1 - t0) / 1000.0);
+    shard->adopt_division(division_.map, division_.table, division_.members,
+                          division_.hier, division_.index);
 }
 
 void TrackManagerFleet::on_churn(NodeId id, bool fail) {
   ++churn_events_;
   FTTT_OBS_COUNT("serve.churn_events", 1);
-  if (!config_.async_rebuild) {
-    if (fail)
-      builder_->deactivate(id);
-    else
-      builder_->activate(id);
-    adopt_rebuilt_division();
-    return;
-  }
   pending_ops_.emplace_back(id, fail);
   maybe_launch_rebuild();
 }
@@ -219,62 +181,24 @@ void TrackManagerFleet::maybe_launch_rebuild() {
     rebuild_inflight_ = true;
   }
   // Pin the served division for the delta/patch path: the task must not
-  // read fleet members the service thread may swap under it.
-  std::shared_ptr<const FaceMap> prev_map = map_;
-  std::shared_ptr<const HierFaceMap> prev_hier = hier_;
-  std::shared_ptr<const SignatureIndex> prev_index = index_;
-  const bool submitted = pool_->submit(
-      [this, prev_map = std::move(prev_map), prev_hier = std::move(prev_hier),
-       prev_index = std::move(prev_index)]() mutable {
-        run_rebuild(std::move(prev_map), std::move(prev_hier),
-                    std::move(prev_index));
-      });
-  if (!submitted) {
+  // read the fleet's division_, which the service thread may swap.
+  if (!pool_->submit([this, prev = division_] { run_rebuild(prev); })) {
     // Pool already shut down: run inline so the division still lands.
-    run_rebuild(map_, hier_, index_);
+    run_rebuild(division_);
   }
 }
 
-void TrackManagerFleet::run_rebuild(std::shared_ptr<const FaceMap> prev_map,
-                                    std::shared_ptr<const HierFaceMap> prev_hier,
-                                    std::shared_ptr<const SignatureIndex> prev_index) {
+void TrackManagerFleet::run_rebuild(const Division& prev) {
   const std::uint64_t t0 = FTTT_OBS_NOW_NS();
-  PendingDivision p;
-  std::shared_ptr<const FaceMap> map =
-      std::make_shared<const FaceMap>(builder_->build());
-  if (config_.track.hierarchical) {
-    std::shared_ptr<const HierFaceMap> hier;
-    std::shared_ptr<const SignatureIndex> index;
-    if (config_.patch_division && prev_map && prev_hier) {
-      const DivisionDelta delta = builder_->delta_since(*prev_map, *map);
-      if (delta.valid) {
-        HierPatchReport report;
-        hier = std::make_shared<const HierFaceMap>(
-            builder_->patch_hierarchy(*prev_hier, delta, &report));
-        if (report.structure_matched && prev_index)
-          index = std::make_shared<const SignatureIndex>(
-              SignatureIndex::patched(*hier, *prev_index, delta, report, *pool_));
-      }
-    }
-    if (!hier)
-      hier = std::make_shared<const HierFaceMap>(builder_->build_hierarchy());
-    if (!index)
-      index = std::make_shared<const SignatureIndex>(
-          SignatureIndex::build(*hier, *pool_));
-    p.hier = std::move(hier);
-    p.index = std::move(index);
-  }
-  p.table = std::make_shared<const SignatureTable>(builder_->take_signature_table());
-  p.map = std::move(map);
-  p.members = alive_members(*builder_);
+  Division next = builder_->build_division(config_.track.hierarchical, &prev);
   const std::uint64_t t1 = FTTT_OBS_NOW_NS();
-  p.latency_ns = t1 > t0 ? t1 - t0 : 0;
   {
     // Notify under the lock: the destructor's wait may wake, return and
     // destroy the condition variable the instant `rebuild_inflight_`
     // flips, so the broadcast must happen-before that wake-up.
     std::lock_guard<std::mutex> lk(rebuild_mu_);
-    pending_ = std::move(p);
+    pending_ = std::move(next);
+    pending_latency_ns_ = t1 > t0 ? t1 - t0 : 0;
     rebuild_inflight_ = false;
     rebuild_ready_ = true;
     rebuild_cv_.notify_all();
@@ -282,26 +206,21 @@ void TrackManagerFleet::run_rebuild(std::shared_ptr<const FaceMap> prev_map,
 }
 
 bool TrackManagerFleet::maybe_adopt_ready() {
-  PendingDivision p;
+  Division next;
+  std::uint64_t latency_ns = 0;
   {
     std::lock_guard<std::mutex> lk(rebuild_mu_);
     if (!rebuild_ready_) return false;
-    p = std::move(pending_);
-    pending_ = PendingDivision{};
+    next = std::exchange(pending_, Division{});
+    latency_ns = pending_latency_ns_;
     rebuild_ready_ = false;
   }
-  map_ = std::move(p.map);
-  table_ = std::move(p.table);
-  hier_ = std::move(p.hier);
-  index_ = std::move(p.index);
-  members_ = std::move(p.members);
-  for (const std::unique_ptr<TrackShard>& shard : shards_)
-    shard->adopt_division(map_, table_, members_, hier_, index_);
+  division_ = std::move(next);
+  hand_division_to_shards();
   ++rebuilds_;
   FTTT_OBS_COUNT("serve.rebuilds", 1);
-  if (p.latency_ns > 0)
-    FTTT_OBS_HIST("serve.rebuild.latency", "us",
-                  static_cast<double>(p.latency_ns) / 1000.0);
+  if (latency_ns > 0)
+    FTTT_OBS_HIST("serve.rebuild.latency", "us", static_cast<double>(latency_ns) / 1000.0);
   return true;
 }
 
@@ -343,6 +262,7 @@ TrackManagerFleet::Stats TrackManagerFleet::stats() const {
   s.enqueued = enqueued_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
+  s.malformed = malformed_.load(std::memory_order_relaxed);
   s.frames = frames_;
   s.localizations = localizations_;
   s.ticks = ticks_;

@@ -18,22 +18,22 @@
 //
 // Deployment churn (net/faults.hpp fail/revive semantics) happens live,
 // with tracks *held*: fail_node()/revive_node() flip the fleet's alive
-// set and (by default) enqueue the division rebuild onto the pool — the
-// service path returns in microseconds while the rebuild runs off-thread
-// behind a double buffer. Ticks keep resolving on the old division until
-// the new one is complete; the swap happens at the next tick() boundary
-// (tracks never see a half-built division). The rebuild itself is
-// incremental end to end: the FaceMapBuilder's cached planes mean a
-// fail/revive re-rasterizes nothing once warm, and in hierarchical mode
-// the coarse tier and its index are *patched* along the churn delta
+// set and enqueue the division rebuild onto the pool — the service path
+// returns in microseconds while the rebuild runs off-thread behind a
+// double buffer. Ticks keep resolving on the old division until the new
+// one is complete; the swap happens at the next tick() boundary (tracks
+// never see a half-built division). The rebuild is one
+// FaceMapBuilder::build_division call (core/division.hpp) and
+// incremental end to end: the builder's cached planes mean a fail/revive
+// re-rasterizes nothing once warm, and in hierarchical mode the coarse
+// tier and its index are *patched* along the churn delta
 // (HierFaceMap::patched / SignatureIndex::patched) instead of rebuilt.
 // Events arriving while a rebuild is in flight coalesce into the next
 // one. Track slots are never dropped; their warm starts reset when the
 // new division is adopted because face ids do not survive a re-division,
 // and the next tick re-acquires through the batch pass.
-// Config::async_rebuild = false restores the synchronous adopt-on-return
-// semantics (deterministic single-call tooling); flush_rebuilds() gives
-// tests and drivers a barrier equivalent.
+// flush_rebuilds() is the synchronous form: a barrier after which every
+// accepted event is served (deterministic tooling, tests, drivers).
 //
 // Determinism: the updates of tick() depend only on the frame stream
 // (per-track order) and the division schedule — never on shard count,
@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/division.hpp"
 #include "core/facemap_builder.hpp"
 #include "core/facemap_cache.hpp"
 #include "parallel/bounded_queue.hpp"
@@ -77,30 +78,26 @@ class TrackManagerFleet {
     std::size_t queue_capacity{4096};
     /// Per-tick drain bound; 0 = drain everything queued.
     std::size_t max_frames_per_tick{0};
-    /// Rebuild divisions off-thread behind the double buffer (see the
-    /// header note). False: fail_node()/revive_node() rebuild and adopt
-    /// synchronously before returning — the pre-async semantics.
-    bool async_rebuild{true};
-    /// In hierarchical mode, patch the coarse tier/index along the churn
-    /// delta instead of rebuilding from scratch (bit-identical either
-    /// way; false forces the from-scratch path for A/B benching).
-    bool patch_division{true};
     TrackShard::Config track{};
   };
 
-  /// Monotonic accounting. enqueued + shed + rejected reconciles with
-  /// producer-side totals exactly (asserted by the stress suite).
+  /// Monotonic accounting. enqueued + shed + rejected + malformed
+  /// reconciles with producer-side totals exactly (asserted by the
+  /// stress suite).
   struct Stats {
     std::uint64_t enqueued{0};       ///< frames accepted into the queue
     std::uint64_t shed{0};           ///< oldest-first evictions (submit)
     std::uint64_t rejected{0};       ///< try_submit refusals
+    /// Frames refused at ingestion, by any submit form, because their
+    /// grouping sampling is not roster-wide (node_count != roster_size()).
+    std::uint64_t malformed{0};
     std::uint64_t frames{0};         ///< frames resolved across all ticks
     std::uint64_t localizations{0};  ///< updates carrying an estimate
     std::uint64_t ticks{0};
     std::uint64_t rebuilds{0};       ///< divisions adopted after churn
-    /// Accepted fail/revive events. With async_rebuild, coalescing makes
-    /// rebuilds <= churn_events; they are equal in sync mode or after
-    /// flush_rebuilds() when every event got its own quiet window.
+    /// Accepted fail/revive events. Coalescing makes rebuilds <=
+    /// churn_events; they are equal after flush_rebuilds() when every
+    /// event got its own quiet window.
     std::uint64_t churn_events{0};
     std::size_t tracks{0};           ///< live track slots (never shrinks)
     std::size_t queue_depth{0};      ///< at the time of the stats() call
@@ -125,16 +122,22 @@ class TrackManagerFleet {
   ~TrackManagerFleet();
 
   // -- Ingestion (any thread) ----------------------------------------------
+  //
+  // Every form refuses — returns false and counts Stats::malformed — a
+  // frame whose grouping sampling is not roster-wide
+  // (group.node_count() != roster_size()); the shards' projection onto
+  // the alive members relies on it.
 
   /// Load-shedding submit: evicts the oldest queued frame when full.
-  /// False only after close().
+  /// False only after close() or for a malformed frame.
   bool submit(ReportFrame frame);
 
-  /// Rejecting submit: false when the queue is full or closed.
+  /// Rejecting submit: false when the queue is full or closed, or the
+  /// frame is malformed (counted as malformed, not rejected).
   bool try_submit(ReportFrame frame);
 
   /// Backpressure submit: blocks until space or close(); false when the
-  /// fleet closed first.
+  /// fleet closed first or the frame is malformed.
   bool submit_wait(ReportFrame frame);
 
   /// Stop accepting frames and wake blocked producers. Queued frames
@@ -150,15 +153,15 @@ class TrackManagerFleet {
 
   // -- Deployment churn (service thread) ------------------------------------
 
-  /// Node failed: drop it from the division, tracks held. With
-  /// async_rebuild the call only flips the alive set and enqueues the
-  /// incremental rebuild (cached planes — a fail re-rasterizes nothing
-  /// once the builder is warm; hierarchical tiers patch along the
-  /// delta); ticks keep serving the old division until the new one is
-  /// adopted at a tick boundary. Returns false — and changes nothing —
-  /// when the node is unknown, already failed, or fewer than two alive
-  /// nodes would remain (refusal is decided instantly on the fleet's
-  /// alive mirror, never blocked behind a rebuild).
+  /// Node failed: drop it from the division, tracks held. The call only
+  /// flips the alive set and enqueues the incremental rebuild (cached
+  /// planes — a fail re-rasterizes nothing once the builder is warm;
+  /// hierarchical tiers patch along the delta); ticks keep serving the
+  /// old division until the new one is adopted at a tick boundary.
+  /// Returns false — and changes nothing — when the node is unknown,
+  /// already failed, or fewer than two alive nodes would remain (refusal
+  /// is decided instantly on the fleet's alive mirror, never blocked
+  /// behind a rebuild).
   bool fail_node(NodeId id);
 
   /// Node recovered: restore it to the division. Same return convention
@@ -169,7 +172,7 @@ class TrackManagerFleet {
   /// in-flight task, adopts its division, and repeats until no churn
   /// event remains unadopted. After it returns, map()/table()/... serve
   /// every accepted event and stats().rebuilds has counted them. No-op
-  /// in sync mode or when nothing is pending. Service thread only.
+  /// when nothing is pending. Service thread only.
   void flush_rebuilds();
 
   // -- Introspection --------------------------------------------------------
@@ -180,15 +183,15 @@ class TrackManagerFleet {
   std::size_t alive_count() const;
 
   /// The division currently served (shared across every shard).
-  std::shared_ptr<const FaceMap> map() const { return map_; }
-  std::shared_ptr<const SignatureTable> table() const { return table_; }
-  const std::vector<NodeId>& members() const { return members_; }
+  std::shared_ptr<const FaceMap> map() const { return division_.map; }
+  std::shared_ptr<const SignatureTable> table() const { return division_.table; }
+  const std::vector<NodeId>& members() const { return division_.members; }
 
   /// Coarse descent tier over the served division — null unless
   /// Config::track.hierarchical (one tier per division, shared across
   /// every shard; hand it to a SerialReplay to share the build).
-  std::shared_ptr<const HierFaceMap> hier() const { return hier_; }
-  std::shared_ptr<const SignatureIndex> index() const { return index_; }
+  std::shared_ptr<const HierFaceMap> hier() const { return division_.hier; }
+  std::shared_ptr<const SignatureIndex> index() const { return division_.index; }
 
  private:
   /// Shard routing: stable mix of the track id (dense and adversarial
@@ -197,12 +200,15 @@ class TrackManagerFleet {
     return static_cast<std::size_t>(splitmix64(track) % shards_.size());
   }
 
-  /// Re-derive the served division from the builder and hand it to the
-  /// shards (synchronous churn path).
-  void adopt_rebuilt_division();
+  /// Ingestion guard of the submit forms: true for a roster-wide frame,
+  /// otherwise counts it as malformed.
+  bool admit(const ReportFrame& frame);
 
-  /// One churn event accepted: queue the builder op and either rebuild
-  /// synchronously (async_rebuild off) or kick the off-thread pipeline.
+  /// Serve division_ on every shard.
+  void hand_division_to_shards();
+
+  /// One churn event accepted: queue the builder op and kick the
+  /// off-thread pipeline.
   void on_churn(NodeId id, bool fail);
 
   /// Launch the off-thread rebuild for the queued ops unless one is
@@ -211,13 +217,11 @@ class TrackManagerFleet {
   /// runs — the alive mirror answers refusal checks meanwhile).
   void maybe_launch_rebuild();
 
-  /// The rebuild task body: build map/table (+ patched tier/index in
-  /// hierarchical mode) and publish the result for the next tick
-  /// boundary. Runs on a pool worker (or inline when the pool is shut
-  /// down); `prev_*` pin the division being replaced for the delta path.
-  void run_rebuild(std::shared_ptr<const FaceMap> prev_map,
-                   std::shared_ptr<const HierFaceMap> prev_hier,
-                   std::shared_ptr<const SignatureIndex> prev_index);
+  /// The rebuild task body: one build_division against `prev` (the
+  /// division being replaced, pinned for the delta path), published for
+  /// the next tick boundary. Runs on a pool worker (or inline when the
+  /// pool is shut down).
+  void run_rebuild(const Division& prev);
 
   /// Adopt a finished off-thread division, if any. Service thread only;
   /// called at every tick() boundary and by flush_rebuilds().
@@ -230,11 +234,7 @@ class TrackManagerFleet {
   BoundedQueue<ReportFrame> queue_;
   std::vector<std::unique_ptr<TrackShard>> shards_;
 
-  std::shared_ptr<const FaceMap> map_;
-  std::shared_ptr<const SignatureTable> table_;
-  std::shared_ptr<const HierFaceMap> hier_;      ///< hierarchical mode only
-  std::shared_ptr<const SignatureIndex> index_;  ///< hierarchical mode only
-  std::vector<NodeId> members_;  ///< alive global ids, ascending
+  Division division_;  ///< served; hier/index in hierarchical mode only
 
   // Fleet-side mirror of the builder's active set: fail/revive refusal
   // rules answer from here instantly, so churn acceptance never touches
@@ -242,25 +242,16 @@ class TrackManagerFleet {
   std::vector<char> alive_;
   std::size_t alive_n_{0};
 
-  /// A finished off-thread rebuild, waiting for the next tick boundary.
-  struct PendingDivision {
-    std::shared_ptr<const FaceMap> map;
-    std::shared_ptr<const SignatureTable> table;
-    std::shared_ptr<const HierFaceMap> hier;
-    std::shared_ptr<const SignatureIndex> index;
-    std::vector<NodeId> members;
-    std::uint64_t latency_ns{0};  ///< off-thread rebuild duration (obs on)
-  };
-
   // Double-buffer state. The mutex guards only the tiny hand-off
-  // (inflight/ready flags + pending_); the service thread and the single
+  // (inflight/ready flags + pending_*); the service thread and the single
   // rebuild task never touch the builder or the served division
   // concurrently by construction. pending_ops_ is service-thread-only.
   mutable std::mutex rebuild_mu_;
   std::condition_variable rebuild_cv_;
   bool rebuild_inflight_{false};
   bool rebuild_ready_{false};
-  PendingDivision pending_;
+  Division pending_;  ///< finished rebuild awaiting the next tick boundary
+  std::uint64_t pending_latency_ns_{0};  ///< its build duration (obs on)
   std::vector<std::pair<NodeId, bool>> pending_ops_;  ///< (id, fail?)
 
   // Producer-side counters are atomic (submit races tick); the rest is
@@ -268,6 +259,7 @@ class TrackManagerFleet {
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> malformed_{0};
   std::uint64_t frames_{0};
   std::uint64_t localizations_{0};
   std::uint64_t ticks_{0};

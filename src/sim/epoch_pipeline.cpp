@@ -31,25 +31,6 @@ struct EpochPrecompute {
   std::vector<double> pm_scores;     ///< per-face similarities for PM
 };
 
-struct Entry {
-  std::shared_ptr<const FaceMap> map;
-  std::shared_ptr<const SignatureTable> table;
-};
-
-/// Fetch a division through the cache when one is given, otherwise build
-/// it locally exactly like run_tracking does.
-Entry obtain_map(const Deployment& nodes, double C, const ScenarioConfig& cfg,
-                 ThreadPool& pool, FaceMapCache* cache) {
-  if (cache) {
-    FaceMapCache::Entry e = cache->get_or_build(nodes, C, cfg.field, cfg.grid_cell, pool);
-    return Entry{std::move(e.map), std::move(e.table)};
-  }
-  FTTT_OBS_SPAN("sim.facemap.build");
-  FaceMapBuilder builder(nodes, C, cfg.field, cfg.grid_cell, pool);
-  return Entry{std::make_shared<const FaceMap>(builder.build()),
-               std::make_shared<const SignatureTable>(builder.take_signature_table())};
-}
-
 }  // namespace
 
 TrackingResult run_tracking_pipelined(const ScenarioConfig& cfg,
@@ -73,9 +54,16 @@ TrackingResult run_tracking_pipelined(const ScenarioConfig& cfg,
   });
   const bool needs_pm = std::any_of(methods.begin(), methods.end(),
                                     [](Method m) { return m == Method::kPathMatching; });
-  Entry uncertain, bisector;
-  if (needs_uncertain) uncertain = obtain_map(nodes, channel.C, cfg, pool, cache);
-  if (needs_bisector) bisector = obtain_map(nodes, 1.0, cfg, pool, cache);
+  // Without a cache each call builds its own flat divisions, exactly
+  // like run_tracking.
+  const auto division = [&](double C) {
+    if (cache) return cache->get_or_build(nodes, C, cfg.field, cfg.grid_cell, pool);
+    FTTT_OBS_SPAN("sim.facemap.build");
+    return FaceMapBuilder(nodes, C, cfg.field, cfg.grid_cell, pool).build_division(false);
+  };
+  Division uncertain, bisector;
+  if (needs_uncertain) uncertain = division(channel.C);
+  if (needs_bisector) bisector = division(1.0);
 
   // Per-FTTT-method slot in EpochPrecompute::fttt, assigned in method order.
   std::vector<std::size_t> fttt_slot(methods.size(), 0);

@@ -49,17 +49,24 @@ TEST(ServeFleetRace, ProducersAgainstServiceLoopReconcileExactly) {
 
   std::atomic<std::size_t> accepted{0};
   std::atomic<std::size_t> rejected{0};
+  std::atomic<std::size_t> malformed{0};
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       // Each producer owns a disjoint track range and mixes the two
-      // non-blocking policies, counting every outcome.
+      // non-blocking policies plus the odd frame that is not roster-wide,
+      // counting every outcome.
       for (std::size_t i = 0; i < kFramesPerProducer; ++i) {
         const TrackId track = p * kTracksPerProducer + (i % kTracksPerProducer);
         const std::uint64_t epoch = i / kTracksPerProducer;
         ReportFrame frame = workload.frame(track, epoch);
-        if (i % 3 == 0) {
+        if (i % 10 == 5) {
+          frame.group = GroupingSampling(roster.size() - 1, frame.group.instants());
+          ASSERT_FALSE(i % 20 == 5 ? fleet.submit(std::move(frame))
+                                   : fleet.try_submit(std::move(frame)));
+          malformed.fetch_add(1);
+        } else if (i % 3 == 0) {
           if (fleet.try_submit(std::move(frame)))
             accepted.fetch_add(1);
           else
@@ -87,7 +94,7 @@ TEST(ServeFleetRace, ProducersAgainstServiceLoopReconcileExactly) {
       ++churned;
     }
   };
-  while (accepted.load() + rejected.load() < kTotal) {
+  while (accepted.load() + rejected.load() + malformed.load() < kTotal) {
     if (++service_ticks % 2 == 0) churn_once();
     resolved += fleet.tick().size();
     std::this_thread::yield();
@@ -103,9 +110,12 @@ TEST(ServeFleetRace, ProducersAgainstServiceLoopReconcileExactly) {
   fleet.flush_rebuilds();           // settle any in-flight rebuild
 
   const TrackManagerFleet::Stats stats = fleet.stats();
-  EXPECT_EQ(accepted.load() + rejected.load(), kProducers * kFramesPerProducer);
+  EXPECT_EQ(accepted.load() + rejected.load() + malformed.load(),
+            kProducers * kFramesPerProducer);
   EXPECT_EQ(stats.enqueued, accepted.load());
   EXPECT_EQ(stats.rejected, rejected.load());
+  EXPECT_EQ(stats.malformed, malformed.load());
+  EXPECT_GT(stats.malformed, 0u);
   // Conservation: every accepted frame was either shed or resolved.
   EXPECT_EQ(stats.enqueued, stats.shed + stats.frames);
   EXPECT_EQ(stats.frames, resolved);

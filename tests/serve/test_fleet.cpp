@@ -416,18 +416,57 @@ TEST(Fleet, AsyncRebuildServesOldDivisionUntilReady) {
   EXPECT_EQ(fleet.stats().tracks, kTracks);  // zero dropped tracks
 }
 
-TEST(Fleet, SyncModeAdoptsImmediately) {
+TEST(Fleet, FlushRebuildsIsTheSynchronousBarrier) {
   const Deployment roster = roster9();
-  TrackManagerFleet::Config cfg;
-  cfg.async_rebuild = false;
-  TrackManagerFleet fleet(roster, kC, kField, kCell, cfg);
+  TrackManagerFleet fleet(roster, kC, kField, kCell, {});
   const FaceMap* before = fleet.map().get();
   ASSERT_TRUE(fleet.fail_node(0));
-  EXPECT_NE(fleet.map().get(), before);  // adopted inside the call
+  fleet.flush_rebuilds();
+  const FaceMap* after = fleet.map().get();
+  EXPECT_NE(after, before);  // adopted by the time the barrier returns
+  EXPECT_EQ(fleet.members().size(), roster.size() - 1);
   EXPECT_EQ(fleet.stats().rebuilds, 1u);
   EXPECT_EQ(fleet.stats().churn_events, 1u);
-  fleet.flush_rebuilds();  // no-op in sync mode
+  fleet.flush_rebuilds();  // nothing pending: a no-op
   EXPECT_EQ(fleet.stats().rebuilds, 1u);
+  EXPECT_EQ(fleet.map().get(), after);
+}
+
+TEST(Fleet, RefusesFramesThatAreNotRosterWide) {
+  // After fail_node(0) the division covers 8 nodes, so a frame one node
+  // short of the roster has exactly the division's width — it must not
+  // pass for an already-projected frame, nor be read past its end.
+  const Deployment roster = roster9();
+  const SyntheticWorkload workload(roster, kField, workload_config(1), 5);
+  TrackManagerFleet fleet(roster, kC, kField, kCell, {});
+  ASSERT_TRUE(fleet.fail_node(0));
+  fleet.flush_rebuilds();
+
+  const ReportFrame full = workload.frame(0, 0);
+  ReportFrame short_frame;
+  short_frame.track = 7;
+  short_frame.group.resize(roster.size() - 1, full.group.instants());
+  for (std::size_t node = 1; node < roster.size(); ++node)
+    if (full.group.has(node)) short_frame.group.set_column(node - 1, full.group.column(node));
+
+  EXPECT_FALSE(fleet.submit(short_frame));
+  EXPECT_FALSE(fleet.try_submit(short_frame));
+  EXPECT_FALSE(fleet.submit_wait(short_frame));
+  auto stats = fleet.stats();
+  EXPECT_EQ(stats.malformed, 3u);
+  EXPECT_EQ(stats.enqueued, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_TRUE(fleet.tick().empty());  // never resolved
+
+  ASSERT_TRUE(fleet.submit(full));  // roster-wide frames still flow
+  const std::vector<TrackUpdate> updates = fleet.tick();
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_EQ(updates[0].track, full.track);
+  stats = fleet.stats();
+  EXPECT_EQ(stats.enqueued + stats.malformed, 4u);
+  EXPECT_EQ(stats.frames, 1u);
+  EXPECT_EQ(stats.tracks, 1u);  // the refused track never got a slot
 }
 
 TEST(Fleet, FreeRunningAsyncMatchesMirroredReplay) {
