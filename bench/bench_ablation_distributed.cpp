@@ -13,6 +13,7 @@
 #include "net/deployment.hpp"
 #include "net/faults.hpp"
 #include "rf/uncertainty.hpp"
+#include "sim/scenario_build.hpp"
 
 int main(int argc, char** argv) {
   using namespace fttt;
@@ -31,11 +32,7 @@ int main(int argc, char** argv) {
   model.noise = NoiseKind::kBounded;
   model.bounded_amplitude = bounded_noise_amplitude(C, model.beta);
 
-  SamplingConfig sampling;
-  sampling.model = model;
-  sampling.sensing_range = base.sensing_range;
-  sampling.sample_period = 1.0 / base.sample_rate;
-  sampling.samples_per_group = base.samples_per_group;
+  const SamplingConfig sampling = scenario_sampling(base, ResolvedChannel{model, C});
 
   const RngStream root(base.seed);
   const RandomWaypoint target(

@@ -188,10 +188,7 @@ int main(int argc, char** argv) {
   SyntheticWorkload::Config wcfg;
   wcfg.tracks = opt.tracks;
   wcfg.epoch_period = cfg.localization_period;
-  wcfg.sampling.model = channel.model;
-  wcfg.sampling.sensing_range = cfg.sensing_range;
-  wcfg.sampling.sample_period = 1.0 / cfg.sample_rate;
-  wcfg.sampling.samples_per_group = cfg.samples_per_group;
+  wcfg.sampling = scenario_sampling(cfg, channel);
   const SyntheticWorkload workload(roster, cfg.field, wcfg, cfg.seed);
 
   // Pre-generate the whole stream so frame synthesis (collect_group) is

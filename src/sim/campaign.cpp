@@ -7,72 +7,43 @@
 #include <stdexcept>
 #include <utility>
 
-#include "baselines/direct_mle.hpp"
-#include "baselines/path_matching.hpp"
-#include "core/batch_matcher.hpp"
 #include "core/facemap_builder.hpp"
-#include "core/tracker.hpp"
-#include "net/faults.hpp"
-#include "net/sampling.hpp"
 #include "obs/obs.hpp"
-#include "sim/scenario_build.hpp"
+#include "sim/epoch_pipeline.hpp"
 
 namespace fttt {
 
 namespace {
 
+/// A flat Division over recycled builder products.
+Division view(const FaceMapBuilder::BuildProducts& products) {
+  Division out;
+  out.map = products.map;
+  out.table = products.table;
+  return out;
+}
+
 /// One worker's pooled trial state. A worker is bound to a cell, then
-/// runs trials one at a time on whichever pool thread claimed it; every
-/// buffer below survives from trial to trial, so the steady state only
-/// touches the allocator when a deployment needs strictly more room than
-/// any before it.
+/// runs trials one at a time on whichever pool thread claimed it; the
+/// deployment, both builders with their recycled products and the
+/// EpochPipeline's buffers survive from trial to trial, so the steady
+/// state only touches the allocator when a deployment needs strictly
+/// more room than any before it.
 ///
-/// run_trial mirrors run_tracking_pipelined's per-trial work serially —
-/// same substream discipline, same per-epoch sample collection, same
-/// consume order per method — so its error sequence is bit-identical to
-/// the pipeline's (tests/sim/test_campaign.cpp pins the contract). The
-/// two deliberate substitutions keep every bit:
-///   - deployments come from RandomDeploymentGenerator (byte-identical
-///     to scenario_deployment for kRandom under kFixed);
-///   - Direct MLE selects from the pooled per-epoch score rows via
-///     BatchMatcher::select_from instead of re-scanning in match(): the
-///     rows are the similarities_into output match() selects over, and
-///     select_from repeats its exact selection, so one scan per epoch
-///     serves both path matching and Direct MLE.
+/// A trial is the pipeline's trial on a generated deployment:
+/// RandomDeploymentGenerator is byte-identical to scenario_deployment
+/// for kRandom under kFixed, and build_into rebuilds the maps a fresh
+/// build_division(false) would produce, so the error sequence is
+/// bit-identical to run_tracking_pipelined's
+/// (tests/sim/test_campaign.cpp pins the contract).
 class TrialWorker {
  public:
-  void bind_cell(const ScenarioConfig& cfg, const ResolvedChannel& channel,
-                 std::span<const Method> methods, const RandomDeploymentGenerator& gen,
-                 ThreadPool& pool) {
+  void bind_cell(const ScenarioConfig& cfg, std::span<const Method> methods,
+                 const RandomDeploymentGenerator& gen, ThreadPool& pool) {
     cfg_ = &cfg;
-    channel_ = &channel;
-    methods_ = methods;
     gen_ = &gen;
     pool_ = &pool;
-
-    needs_uncertain_ = std::any_of(methods.begin(), methods.end(), [](Method m) {
-      return m == Method::kFttt || m == Method::kFtttExtended;
-    });
-    needs_bisector_ = std::any_of(methods.begin(), methods.end(), [](Method m) {
-      return m == Method::kPathMatching || m == Method::kDirectMle;
-    });
-
-    fttt_slot_.assign(methods.size(), 0);
-    fttt_count_ = 0;
-    for (std::size_t m = 0; m < methods.size(); ++m)
-      if (methods[m] == Method::kFttt || methods[m] == Method::kFtttExtended)
-        fttt_slot_[m] = fttt_count_++;
-
-    sampling_ = SamplingConfig{};
-    sampling_.model = channel.model;
-    sampling_.sensing_range = cfg.sensing_range;
-    sampling_.sample_period = 1.0 / cfg.sample_rate;
-    sampling_.samples_per_group = cfg.samples_per_group;
-    sampling_.clock_skew = cfg.clock_skew;
-    sampling_.freeze_target_during_group = cfg.freeze_group;
-
-    epochs_ = static_cast<std::uint64_t>(cfg.duration / cfg.localization_period);
-
+    pipeline_.bind(cfg, methods);
     // The division grid changes with the cell's field, so the builders
     // restart from the next trial's roster (their scratch capacity would
     // not transfer across grid shapes anyway).
@@ -84,138 +55,41 @@ class TrialWorker {
   /// per-method error statistics (epoch order, exactly the per_run
   /// accumulation monte_carlo derives from TrackingResult::errors).
   void run_trial(std::uint64_t trial, RunningStats* out) {
-    const ScenarioConfig& cfg = *cfg_;
-    const RngStream root = RngStream(cfg.seed).substream(trial);
-    gen_->generate_into(cfg.seed, trial, nodes_);
-    const std::unique_ptr<MobilityModel> trace = scenario_trace(cfg, root.substream(2));
+    gen_->generate_into(cfg_->seed, trial, nodes_);
+    if (pipeline_.needs_uncertain())
+      rebuild(uncertain_builder_, uncertain_, pipeline_.channel().C);
+    if (pipeline_.needs_bisector()) rebuild(bisector_builder_, bisector_, 1.0);
+    // The Division views share the recycled products only for this
+    // call: the use counts are back to one before the next build_into.
+    pipeline_.run(trial, nodes_, view(uncertain_), view(bisector_), *pool_);
 
-    if (needs_uncertain_) {
-      if (uncertain_builder_) uncertain_builder_->reset_roster(nodes_);
-      else uncertain_builder_.emplace(nodes_, channel_->C, cfg.field, cfg.grid_cell, *pool_);
-      uncertain_builder_->build_into(uncertain_);
-    }
-    if (needs_bisector_) {
-      if (bisector_builder_) bisector_builder_->reset_roster(nodes_);
-      else bisector_builder_.emplace(nodes_, 1.0, cfg.field, cfg.grid_cell, *pool_);
-      bisector_builder_->build_into(bisector_);
-    }
-
-    // Consumers of the recycled products live only for this trial: the
-    // use counts must be back to one before the next build_into.
-    std::optional<BatchMatcher> matcher;
-    std::size_t padded = 0;
-    if (needs_bisector_) {
-      matcher.emplace(std::shared_ptr<const FaceMap>(bisector_.map),
-                      std::shared_ptr<const SignatureTable>(bisector_.table));
-      padded = matcher->table().padded_faces();
-    }
-
-    const BernoulliDropout dropout(cfg.dropout_probability, root.substream(3));
-    const NoFaults none;
-    const FaultModel& faults =
-        cfg.dropout_probability > 0.0 ? static_cast<const FaultModel&>(dropout)
-                                      : static_cast<const FaultModel&>(none);
-    const auto target_at = [&](double t) { return trace->position_at(t); };
-
-    truths_.resize(epochs_);
-    fttt_vecs_.resize(epochs_ * fttt_count_);
-    if (needs_bisector_) {
-      one_shots_.resize(epochs_);
-      scores_.resize(epochs_ * padded);
-    }
-
-    for (std::uint64_t e = 0; e < epochs_; ++e) {
-      const double t0 = static_cast<double>(e) * cfg.localization_period;
-      const GroupingSampling group = collect_group(nodes_, sampling_, faults, e, t0,
-                                                   target_at, root.substream(4, e));
-      truths_[e] = trace->position_at(t0);
-      std::size_t slot = e * fttt_count_;
-      for (std::size_t m = 0; m < methods_.size(); ++m) {
-        if (methods_[m] == Method::kFttt)
-          fttt_vecs_[slot++] =
-              build_sampling_vector(group, cfg.eps, VectorMode::kBasic, cfg.missing);
-        else if (methods_[m] == Method::kFtttExtended)
-          fttt_vecs_[slot++] =
-              build_sampling_vector(group, cfg.eps, VectorMode::kExtended, cfg.missing);
-      }
-      if (needs_bisector_) {
-        one_shots_[e] = one_shot_vector(group, 0, cfg.eps, cfg.missing);
-        matcher->similarities_into(
-            one_shots_[e], std::span<double>(scores_.data() + e * padded, padded));
-      }
-    }
-
-    const std::shared_ptr<const FaceMap> uncertain_map = uncertain_.map;
-    const std::shared_ptr<const SignatureTable> uncertain_table = uncertain_.table;
-    const std::shared_ptr<const FaceMap> bisector_map = bisector_.map;
-    for (std::size_t m = 0; m < methods_.size(); ++m) {
+    const std::span<const Vec2> truths = pipeline_.truths();
+    for (std::size_t m = 0; m < pipeline_.methods().size(); ++m) {
+      const std::span<const Vec2> estimates = pipeline_.estimates(m);
       RunningStats stats;
-      switch (methods_[m]) {
-        case Method::kFttt:
-        case Method::kFtttExtended: {
-          const VectorMode mode = methods_[m] == Method::kFttt ? VectorMode::kBasic
-                                                               : VectorMode::kExtended;
-          FtttTracker tracker(uncertain_map,
-                              FtttTracker::Config{mode, cfg.eps, true, 0.5, cfg.missing,
-                                                  cfg.hierarchical_matching},
-                              uncertain_table);
-          for (std::uint64_t e = 0; e < epochs_; ++e) {
-            const TrackEstimate est =
-                tracker.localize(fttt_vecs_[e * fttt_count_ + fttt_slot_[m]]);
-            stats.add(distance(est.position, truths_[e]));
-          }
-          break;
-        }
-        case Method::kPathMatching: {
-          PathMatchingTracker::Config pm;
-          pm.eps = cfg.eps;
-          pm.max_velocity = cfg.v_max;
-          pm.period = cfg.localization_period;
-          pm.missing = cfg.missing;
-          PathMatchingTracker tracker(bisector_map, pm);
-          for (std::uint64_t e = 0; e < epochs_; ++e) {
-            const TrackEstimate est = tracker.localize_scored(
-                std::span<const double>(scores_.data() + e * padded, padded));
-            stats.add(distance(est.position, truths_[e]));
-          }
-          break;
-        }
-        case Method::kDirectMle: {
-          for (std::uint64_t e = 0; e < epochs_; ++e) {
-            const MatchResult match = matcher->select_from(
-                std::span<const double>(scores_.data() + e * padded, padded));
-            stats.add(distance(match.position, truths_[e]));
-          }
-          break;
-        }
-      }
+      for (std::size_t e = 0; e < estimates.size(); ++e)
+        stats.add(distance(estimates[e], truths[e]));
       out[m] = stats;
     }
   }
 
  private:
+  void rebuild(std::optional<FaceMapBuilder>& builder, FaceMapBuilder::BuildProducts& out,
+               double C) {
+    if (builder) builder->reset_roster(nodes_);
+    else builder.emplace(nodes_, C, cfg_->field, cfg_->grid_cell, *pool_);
+    builder->build_into(out);
+  }
+
   const ScenarioConfig* cfg_ = nullptr;
-  const ResolvedChannel* channel_ = nullptr;
-  std::span<const Method> methods_;
   const RandomDeploymentGenerator* gen_ = nullptr;
   ThreadPool* pool_ = nullptr;
-
-  bool needs_uncertain_ = false;
-  bool needs_bisector_ = false;
-  std::vector<std::size_t> fttt_slot_;
-  std::size_t fttt_count_ = 0;
-  SamplingConfig sampling_;
-  std::uint64_t epochs_ = 0;
-
+  EpochPipeline pipeline_;
   Deployment nodes_;
   std::optional<FaceMapBuilder> uncertain_builder_;
   std::optional<FaceMapBuilder> bisector_builder_;
   FaceMapBuilder::BuildProducts uncertain_;
   FaceMapBuilder::BuildProducts bisector_;
-  std::vector<Vec2> truths_;
-  std::vector<SamplingVector> fttt_vecs_;  ///< epochs x fttt_count, epoch-major
-  std::vector<SamplingVector> one_shots_;
-  std::vector<double> scores_;             ///< epochs x padded_faces, epoch-major
 };
 
 }  // namespace
@@ -265,10 +139,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg, ThreadPool& pool) {
       cell.density = density;
       cell.sensor_count = n;
       cell.scenario = campaign_cell_scenario(cfg, density, n);
-      const ResolvedChannel channel = resolve_channel(cell.scenario);
       const RandomDeploymentGenerator gen(cell.scenario.field, n, cfg.count_model);
-      for (auto& worker : workers)
-        worker->bind_cell(cell.scenario, channel, cfg.methods, gen, pool);
+      for (auto& worker : workers) worker->bind_cell(cell.scenario, cfg.methods, gen, pool);
       cell.summaries.assign(nmethods, MonteCarloSummary{});
       for (std::size_t m = 0; m < nmethods; ++m) cell.summaries[m].method = cfg.methods[m];
 

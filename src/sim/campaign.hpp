@@ -4,27 +4,27 @@
 // and node count with a *unique deployment per trial* — the regime where
 // FaceMapCache misses on every key and the per-trial path of monte_carlo
 // degenerates into cold map builds plus per-trial scratch churn. The
-// campaign engine runs that regime with an allocation-free steady state:
+// campaign runs the same trial engine as monte_carlo (EpochPipeline,
+// sim/epoch_pipeline.hpp) and only pools what surrounds it:
 //
 //   - deployments come from a RandomDeploymentGenerator (net/deployment),
 //     a pure function of (seed, trial) — bit-reproducible at any thread
 //     count;
 //   - each worker owns pooled FaceMapBuilders whose build_into() rebuilds
-//     recycled FaceMap / SignatureTable products in place (PR 4's plane
-//     and product storage is reused across trials instead of reallocated);
-//   - within a wave every trial shares one (C, field, grid) shape, so the
-//     one-shot face scans run as one uninterrupted sequence of SoA passes
-//     over pooled score rows, and Direct MLE selects its match from the
-//     same rows path matching consumes (BatchMatcher::select_from) — one
-//     scan per epoch serves both methods, the cross-trial sequel to the
-//     pipeline's cross-epoch batching;
+//     recycled FaceMap / SignatureTable products in place, and one
+//     EpochPipeline bound per cell whose epoch buffers and score rows
+//     survive from trial to trial;
+//   - trials fan out across the pool in waves, and each trial's epoch
+//     loop nests its own parallel_for on the same pool (a worker runs
+//     its own chunks, idle threads may help);
 //   - results stream into a density x N grid of RunningStats merged in
 //     trial order after each wave barrier.
 //
 // Equivalence contract: with CountModel::kFixed, every cell's summaries
 // are *bit-identical* to a serial monte_carlo(cell.scenario, ...) run —
-// same per-epoch errors, same Welford merge sequence.
-// tests/sim/test_campaign.cpp enforces the contract per
+// same per-epoch errors, same Welford merge sequence. With one engine
+// the contract covers what differs: the generator, the pooled builders
+// and the wave merge. tests/sim/test_campaign.cpp enforces it per
 // (method, density, N) cell; bench_perf_campaign re-proves it before
 // timing.
 #pragma once

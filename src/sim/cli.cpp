@@ -1,18 +1,21 @@
 #include "sim/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
 
 namespace fttt {
 
 namespace {
 
-/// Parse a double/integer operand; false on garbage.
+/// Parse a double/integer operand; false on garbage. Doubles must be
+/// finite: NaN slips past every range check below, and an infinite
+/// duration or period would never finish.
 bool to_double(const std::string& s, double& out) {
   try {
     std::size_t used = 0;
     out = std::stod(s, &used);
-    return used == s.size();
+    return used == s.size() && std::isfinite(out);
   } catch (...) {
     return false;
   }

@@ -1,8 +1,11 @@
 // Parallel Monte-Carlo aggregation over independent tracking runs.
 //
 // Each trial re-draws deployment, trace, noise and faults from trial-keyed
-// substreams; trials run across the thread pool and results are merged in
-// trial order, so a sweep is bit-reproducible at any thread count.
+// substreams and runs on the trial engine (run_tracking_pipelined, an
+// EpochPipeline per trial; sim/epoch_pipeline.hpp). Trials run across the
+// thread pool and results are merged in trial order, so a sweep is
+// bit-reproducible at any thread count. run_campaign (sim/campaign.hpp)
+// is checked bit for bit against this aggregator.
 #pragma once
 
 #include <span>
@@ -38,7 +41,8 @@ struct MonteCarloSummary {
 /// bit-identical either way (the cache changes where maps come from,
 /// never their content). For unique-deployment sweeps at scale, prefer
 /// run_campaign (sim/campaign.hpp): same statistics to the bit, but
-/// pooled per-worker builders instead of per-trial cold builds.
+/// per-worker pooled builders and pipeline buffers instead of per-trial
+/// cold builds and fresh scratch.
 std::vector<MonteCarloSummary> monte_carlo(const ScenarioConfig& cfg,
                                            std::span<const Method> methods,
                                            std::size_t trials,

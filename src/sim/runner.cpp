@@ -33,7 +33,6 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
   const Deployment nodes = scenario_deployment(cfg, root.substream(1));
   const std::unique_ptr<MobilityModel> trace = scenario_trace(cfg, root.substream(2));
   const ResolvedChannel channel = resolve_channel(cfg);
-  const PathLossModel& model = channel.model;
   const double C = channel.C;
 
   // Face maps: the uncertain-boundary map for FTTT and the bisector map
@@ -102,13 +101,7 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
       cfg.dropout_probability > 0.0 ? static_cast<const FaultModel&>(dropout)
                                     : static_cast<const FaultModel&>(none);
 
-  SamplingConfig sampling;
-  sampling.model = model;
-  sampling.sensing_range = cfg.sensing_range;
-  sampling.sample_period = 1.0 / cfg.sample_rate;
-  sampling.samples_per_group = cfg.samples_per_group;
-  sampling.clock_skew = cfg.clock_skew;
-  sampling.freeze_target_during_group = cfg.freeze_group;
+  const SamplingConfig sampling = scenario_sampling(cfg, channel);
 
   TrackingResult result;
   result.faces_uncertain = uncertain_map ? uncertain_map->face_count() : 0;

@@ -59,4 +59,15 @@ ResolvedChannel resolve_channel(const ScenarioConfig& cfg) {
   return out;
 }
 
+SamplingConfig scenario_sampling(const ScenarioConfig& cfg, const ResolvedChannel& channel) {
+  SamplingConfig out;
+  out.model = channel.model;
+  out.sensing_range = cfg.sensing_range;
+  out.sample_period = 1.0 / cfg.sample_rate;
+  out.samples_per_group = cfg.samples_per_group;
+  out.clock_skew = cfg.clock_skew;
+  out.freeze_target_during_group = cfg.freeze_group;
+  return out;
+}
+
 }  // namespace fttt

@@ -1,18 +1,21 @@
 // Shared scenario-construction helpers.
 //
 // The serial runner (sim/runner.cpp) and the epoch pipeline
-// (sim/epoch_pipeline.cpp) must materialize *identical* worlds from a
-// ScenarioConfig — same deployment, same trace, same resolved channel —
-// or the pipeline's bit-equivalence contract against run_tracking is
-// meaningless. These helpers are the single definition both consume;
-// each takes the exact substream the runner historically used
-// (deployment: root.substream(1), trace: root.substream(2)).
+// (sim/epoch_pipeline.cpp, the trial engine behind monte_carlo and
+// run_campaign) must materialize *identical* worlds from a
+// ScenarioConfig — same deployment, same trace, same resolved channel,
+// same sampling setup — or the pipeline's bit-equivalence contract
+// against run_tracking is meaningless. These helpers are the single
+// definition every consumer uses; the random ones take the exact
+// substream the runner historically used (deployment: root.substream(1),
+// trace: root.substream(2)).
 #pragma once
 
 #include <memory>
 
 #include "mobility/mobility.hpp"
 #include "net/deployment.hpp"
+#include "net/sampling.hpp"
 #include "rf/pathloss.hpp"
 #include "sim/scenario.hpp"
 
@@ -37,5 +40,10 @@ struct ResolvedChannel {
 /// Eq. 3 constant is used for both and calibration is moot; under the
 /// Gaussian channel C is optionally calibrated for the group size.
 ResolvedChannel resolve_channel(const ScenarioConfig& cfg);
+
+/// The grouping-sampling setup of cfg under its resolved channel: the
+/// sensing range, sample rate, group size, clock skew and Def. 3
+/// stationary-group switch, sampling through channel.model.
+SamplingConfig scenario_sampling(const ScenarioConfig& cfg, const ResolvedChannel& channel);
 
 }  // namespace fttt

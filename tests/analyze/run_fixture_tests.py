@@ -25,17 +25,19 @@ REPO = Path(__file__).resolve().parent.parent.parent
 TREE = "tests/analyze/tree"
 CONFIG = REPO / "tests/analyze/fixtures_config.toml"
 LAYERING = REPO / "tests/analyze/fixtures_layering.toml"
+STALE_KERNELS = REPO / "tests/analyze/fixtures_stale_kernels.toml"
 
 FAILURES: list[str] = []
 
 
 def run_analyzer(paths: list[str], extra: list[str] = (),
-                 frontend: str = "tokens") -> tuple[int, dict]:
+                 frontend: str = "tokens",
+                 config: Path = CONFIG) -> tuple[int, dict]:
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         out = tmp.name
     cmd = [sys.executable, str(REPO / "tools" / "fttt_analyze"),
            *[str(REPO / p) for p in paths],
-           "--config", str(CONFIG), "--layering", str(LAYERING),
+           "--config", str(config), "--layering", str(LAYERING),
            "--frontend", frontend, "--json", out, *extra]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=REPO)
     try:
@@ -101,6 +103,17 @@ def scenario_fixtures(frontend: str) -> None:
         expect(f"{tag} kernel_fp codes", codes(rep), [("DET03", 1)])
         files = [f["file"] for f in rep["findings"]]
         expect(f"{tag} kernel_fp file", files, [f"{TREE}/core/kernel_fp.cpp"])
+
+    # DET04: kernel-list entries naming no file are reported at their
+    # own config line, under either list, even though no visited TU is
+    # on a list.
+    rc, rep = run_analyzer([f"{TREE}/core/clean.cpp"], frontend=frontend,
+                           config=STALE_KERNELS)
+    expect(f"{tag} stale_kernels exit", rc, 1)
+    expect(f"{tag} stale_kernels codes", codes(rep),
+           [("DET04", 8), ("DET04", 12)])
+    expect(f"{tag} stale_kernels file", sorted({f["file"] for f in rep["findings"]}),
+           ["tests/analyze/fixtures_stale_kernels.toml"])
 
     rc, rep = run_analyzer([f"{TREE}/core/bad_obs_arg.cpp"], frontend=frontend)
     expect(f"{tag} bad_obs_arg exit", rc, 1)

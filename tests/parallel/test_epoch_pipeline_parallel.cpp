@@ -1,7 +1,8 @@
 // Race coverage for the epoch pipeline and the face-map cache: these
 // run under the tsan preset (tests_parallel label) with real thread
 // fan-out, so TSan sees the parallel precompute sharing the batch
-// matcher, the single-flight cache build, and concurrent hits.
+// matcher, the single-flight cache build, concurrent hits, and campaign
+// workers whose trials fan their epochs out into pooled buffers.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,6 +11,7 @@
 
 #include "core/facemap_cache.hpp"
 #include "net/deployment.hpp"
+#include "sim/campaign.hpp"
 #include "sim/epoch_pipeline.hpp"
 #include "sim/montecarlo.hpp"
 #include "sim/runner.hpp"
@@ -77,6 +79,40 @@ TEST(EpochPipelineParallel, ConcurrentTrialsShareTheCache) {
   ASSERT_EQ(summary.size(), 2u);
   for (const MonteCarloSummary& s : summary) EXPECT_GT(s.pooled.count(), 0u);
   EXPECT_EQ(cache.stats().builds, 2u);  // one per unique (deployment, C) key
+}
+
+TEST(EpochPipelineParallel, CampaignWorkersMatchSingleThread) {
+  // Campaign workers run trials on pool threads and each trial's epoch
+  // loop nests its own parallel_for into the worker's pooled pipeline;
+  // several waves per cell reuse those buffers across trials.
+  CampaignConfig cfg;
+  cfg.base.duration = 4.0;
+  cfg.base.grid_cell = 2.0;
+  cfg.base.dropout_probability = 0.2;
+  cfg.densities = {0.001};
+  cfg.sensor_counts = {8, 10};
+  cfg.trials_per_cell = 9;
+  cfg.wave_size = 4;
+  cfg.methods = {Method::kFttt, Method::kFtttExtended, Method::kPathMatching,
+                 Method::kDirectMle};
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const CampaignResult serial = run_campaign(cfg, one);
+  const CampaignResult parallel = run_campaign(cfg, four);
+  ASSERT_EQ(serial.cells.size(), parallel.cells.size());
+  for (std::size_t c = 0; c < serial.cells.size(); ++c) {
+    ASSERT_EQ(serial.cells[c].summaries.size(), cfg.methods.size());
+    for (std::size_t m = 0; m < cfg.methods.size(); ++m) {
+      const MonteCarloSummary& a = serial.cells[c].summaries[m];
+      const MonteCarloSummary& b = parallel.cells[c].summaries[m];
+      EXPECT_GT(a.pooled.count(), 0u);
+      EXPECT_EQ(a.pooled.count(), b.pooled.count());
+      EXPECT_EQ(a.pooled.mean(), b.pooled.mean());
+      EXPECT_EQ(a.pooled.variance(), b.pooled.variance());
+      EXPECT_EQ(a.trial_means.mean(), b.trial_means.mean());
+      EXPECT_EQ(a.trial_means.variance(), b.trial_means.variance());
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace fttt {
 namespace {
@@ -32,21 +34,42 @@ void expect_bit_equal(const RunningStats& a, const RunningStats& b) {
 
 // The header's equivalence contract, per (method, density, N) cell:
 // under kFixed every cell's summaries are bit-identical to a serial
-// monte_carlo of the cell's scenario with per-trial map builds.
+// monte_carlo of the cell's scenario with per-trial map builds. Beyond
+// the quick campaign, the variants cover every method (path matching's
+// scored window and FTTT-ext included, plus a duplicate entry) under
+// dropout, both missing-read policies, both channels, and a zero-epoch
+// cell.
 TEST(Campaign, BitIdenticalToSerialMonteCarloPerCell) {
-  const CampaignConfig cfg = quick_campaign();
+  std::vector<CampaignConfig> variants{quick_campaign()};
+  CampaignConfig all = quick_campaign();
+  all.methods = {Method::kFttt, Method::kFtttExtended, Method::kPathMatching,
+                 Method::kDirectMle, Method::kPathMatching};
+  all.base.dropout_probability = 0.2;
+  all.base.channel = Channel::kGaussian;
+  variants.push_back(all);
+  variants.push_back(all);
+  variants.back().base.missing = MissingPolicy::kMissingUnknown;
+  variants.push_back(all);
+  variants.back().base.channel = Channel::kBounded;
+  variants.push_back(all);
+  variants.back().base.duration = 0.25;  // < localization_period: no epochs
+
   ThreadPool single(1);
-  const CampaignResult result = run_campaign(cfg, single);
-  ASSERT_EQ(result.cells.size(), 4u);
-  ASSERT_EQ(result.trials, 4u * cfg.trials_per_cell);
-  for (const CampaignCell& cell : result.cells) {
-    const std::vector<MonteCarloSummary> reference =
-        monte_carlo(cell.scenario, cfg.methods, cfg.trials_per_cell, single, nullptr);
-    ASSERT_EQ(cell.summaries.size(), reference.size());
-    for (std::size_t m = 0; m < reference.size(); ++m) {
-      EXPECT_EQ(cell.summaries[m].method, reference[m].method);
-      expect_bit_equal(cell.summaries[m].pooled, reference[m].pooled);
-      expect_bit_equal(cell.summaries[m].trial_means, reference[m].trial_means);
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    const CampaignConfig& cfg = variants[v];
+    const CampaignResult result = run_campaign(cfg, single);
+    ASSERT_EQ(result.cells.size(), 4u);
+    ASSERT_EQ(result.trials, 4u * cfg.trials_per_cell);
+    for (const CampaignCell& cell : result.cells) {
+      const std::vector<MonteCarloSummary> reference =
+          monte_carlo(cell.scenario, cfg.methods, cfg.trials_per_cell, single, nullptr);
+      ASSERT_EQ(cell.summaries.size(), reference.size());
+      for (std::size_t m = 0; m < reference.size(); ++m) {
+        EXPECT_EQ(cell.summaries[m].method, reference[m].method);
+        expect_bit_equal(cell.summaries[m].pooled, reference[m].pooled);
+        expect_bit_equal(cell.summaries[m].trial_means, reference[m].trial_means);
+      }
     }
   }
 }

@@ -171,6 +171,17 @@ TEST(Cli, RejectsGarbageValues) {
   EXPECT_FALSE(parse_cli({"--methods", "fttt,bogus"}).ok());
 }
 
+TEST(Cli, RejectsNonFiniteNumbers) {
+  // NaN passes every `<= 0` and range check, and an infinite duration or
+  // rate never finishes: both must fail at parse time.
+  EXPECT_FALSE(parse_cli({"--period", "nan"}).ok());
+  EXPECT_FALSE(parse_cli({"--duration", "inf"}).ok());
+  EXPECT_FALSE(parse_cli({"--grid-cell", "nan"}).ok());
+  EXPECT_FALSE(parse_cli({"--dropout", "nan"}).ok());
+  EXPECT_FALSE(parse_cli({"--speed", "nan", "nan"}).ok());
+  EXPECT_FALSE(parse_cli({"--rate", "inf"}).ok());
+}
+
 TEST(ParseMethodList, AllNamesAndFailures) {
   const auto all = parse_method_list("fttt,fttt-ext,pm,mle");
   ASSERT_TRUE(all.has_value());

@@ -11,9 +11,16 @@ DET02 determinism-unordered-iter iteration over an unordered container —
 DET03 determinism-fp-contract    bit-equivalence kernel TUs must compile
                                  with -ffp-contract=off (verified against
                                  compile_commands.json)
+DET04 determinism-kernel-list    every [kernels] list entry names an
+                                 existing file — DET03 and CON02 only see
+                                 TUs they visit, so a stale entry (say,
+                                 after a rename) silently drops a TU's
+                                 check
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from ..lexer import match_paren
 from ..model import Finding, SourceModel
@@ -154,3 +161,31 @@ def determinism_fp_contract(model: SourceModel, ctx: AnalysisContext):
             f"kernel TU compiled without {' '.join(missing)}: FMA "
             "contraction may differ between engine and spec TUs and break "
             "bit-equivalence (set_source_files_properties in CMakeLists)")
+
+
+@register("DET04", "determinism-kernel-list",
+          "every [kernels] TU list entry names an existing file",
+          scope="config")
+def determinism_kernel_list(ctx: AnalysisContext):
+    kernels = ctx.config.get("kernels", {})
+    try:
+        lines = (Path(ctx.repo_root) / ctx.config_rel).read_text(
+            encoding="utf-8").splitlines()
+    except OSError:
+        lines = []
+    for key in ("fp_sensitive", "no_throw_loops"):
+        # Entries are located from the list's own `key =` line on, so one
+        # path listed under both keys reports each occurrence.
+        start = next((i for i, text in enumerate(lines)
+                      if text.lstrip().startswith(key)), 0)
+        for entry in kernels.get(key, []):
+            if (Path(ctx.repo_root) / entry).is_file():
+                continue
+            quoted = f'"{entry}"'
+            line = next((i + 1 for i in range(start, len(lines))
+                         if quoted in lines[i]), 1)
+            yield Finding(
+                ctx.config_rel, line, "DET04", "determinism-kernel-list",
+                f"[kernels] {key} entry '{entry}' names no file: the "
+                "checks keyed on that list never run for it — fix the "
+                "path or drop the entry")

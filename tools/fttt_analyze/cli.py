@@ -64,9 +64,10 @@ def main(argv: list[str]) -> int:
     tools_dir = Path(__file__).resolve().parent.parent
     repo_root = tools_dir.parent
 
+    config_path = (Path(args.config) if args.config
+                   else Path(__file__).resolve().parent / "config.toml")
     try:
-        config = load_toml(Path(args.config) if args.config
-                           else Path(__file__).resolve().parent / "config.toml")
+        config = load_toml(config_path)
         layering = load_toml(Path(args.layering) if args.layering
                              else tools_dir / "layering.toml")
         compile_db = (load_compile_db(Path(args.compile_commands))
@@ -92,7 +93,7 @@ def main(argv: list[str]) -> int:
 
     try:
         analyzer = Analyzer(repo_root, config, layering, compile_db,
-                            frontend=args.frontend)
+                            frontend=args.frontend, config_path=config_path)
     except RuntimeError as e:
         print(f"fttt_analyze: {e}", file=sys.stderr)
         return 2

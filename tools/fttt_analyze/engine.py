@@ -66,10 +66,13 @@ def layer_of(rel: str, layering: dict) -> str | None:
 
 class Analyzer:
     def __init__(self, repo_root: Path, config: dict, layering: dict,
-                 compile_db: dict[str, list[str]], frontend: str = "auto"):
+                 compile_db: dict[str, list[str]], frontend: str = "auto",
+                 config_path: Path | None = None):
         self.repo_root = repo_root
-        self.ctx = AnalysisContext(config=config, layering=layering,
-                                   repo_root=repo_root, compile_db=compile_db)
+        self.ctx = AnalysisContext(
+            config=config,
+            config_rel=self._rel(config_path) if config_path else "<config>",
+            layering=layering, repo_root=repo_root, compile_db=compile_db)
         self.frontend = self._resolve_frontend(frontend)
         self.models: list[SourceModel] = []
 
@@ -113,6 +116,10 @@ class Analyzer:
         active: list[Finding] = []
         suppressed: list[Finding] = []
         selected = [c for c in all_checks() if only is None or c.name in only]
+        for check in selected:
+            if check.scope == "config":
+                active.extend(check.run(self.ctx))
+        selected = [c for c in selected if c.scope == "tu"]
         for path in files:
             model = self.build_model(path)
             self.models.append(model)

@@ -40,12 +40,7 @@ int run_serve(const fttt::CliOptions& opt) {
   wcfg.tracks = serve.tracks;
   wcfg.drop_probability = cfg.dropout_probability;
   wcfg.epoch_period = cfg.localization_period;
-  wcfg.sampling.model = channel.model;
-  wcfg.sampling.sensing_range = cfg.sensing_range;
-  wcfg.sampling.sample_period = 1.0 / cfg.sample_rate;
-  wcfg.sampling.samples_per_group = cfg.samples_per_group;
-  wcfg.sampling.clock_skew = cfg.clock_skew;
-  wcfg.sampling.freeze_target_during_group = cfg.freeze_group;
+  wcfg.sampling = scenario_sampling(cfg, channel);
   const SyntheticWorkload workload(roster, cfg.field, wcfg, cfg.seed);
 
   TrackManagerFleet::Config fcfg;
