@@ -319,8 +319,7 @@ int main(int argc, char** argv) {
       const auto t0 = now();
       for (const std::vector<ReportFrame>& tick_frames : stream)
         for (const ReportFrame& frame : tick_frames) {
-          if (frame.group.reporting_count() < base_config.track.min_reporting)
-            continue;
+          if (frame.group.reporting_count() < kMinReporting) continue;
           const SamplingVector vd =
               build_sampling_vector(frame.group, base_config.track.eps,
                                     base_config.track.mode,

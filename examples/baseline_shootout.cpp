@@ -48,9 +48,9 @@ int main() {
 
   // The contestants.
   auto fttt = std::make_shared<FtttTracker>(
-      uncertain, FtttTracker::Config{VectorMode::kBasic, eps, true, 0.5});
+      uncertain, FtttTracker::Config{VectorMode::kBasic, eps});
   auto fttt_ext = std::make_shared<FtttTracker>(
-      uncertain, FtttTracker::Config{VectorMode::kExtended, eps, true, 0.5});
+      uncertain, FtttTracker::Config{VectorMode::kExtended, eps});
   auto mle_pairwise = std::make_shared<DirectMleTracker>(bisector, eps);
   auto mle_ranks = std::make_shared<SequenceLocalizer>(bisector);
   PathMatchingTracker::Config pm_cfg;

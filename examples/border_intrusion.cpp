@@ -38,7 +38,7 @@ int main() {
   std::cout << "border strip instrumented: " << sensors.size() << " sensors, "
             << map->face_count() << " faces, C = " << C << "\n";
 
-  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kExtended, eps, true, 0.5});
+  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kExtended, eps});
 
   // The intruder: enters at the top-left, exits bottom-right at ~2 m/s.
   const Polyline intrusion({{20.0, 60.0}, {80.0, 35.0}, {150.0, 20.0}, {185.0, 0.0}});

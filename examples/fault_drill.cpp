@@ -30,7 +30,7 @@ int main() {
   const Deployment sensors = grid_deployment(field, 16);
   const double C = uncertainty_constant(eps, model.beta, model.sigma);
   auto map = std::make_shared<const FaceMap>(FaceMap::build(sensors, C, field, 1.0));
-  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kExtended, eps, true, 0.5});
+  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kExtended, eps});
 
   // Composite fault model: transient loss + two battery deaths at epoch 40
   // (t = 20 s) + burst jamming expressed as a second dropout layer that we

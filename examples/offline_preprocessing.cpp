@@ -58,7 +58,7 @@ int main() {
             << TextTable::num(reloaded.theorem1_link_fraction(), 3) << "\n";
 
   auto map = std::make_shared<const FaceMap>(std::move(reloaded));
-  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kExtended, eps, true, 0.5});
+  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kExtended, eps});
 
   model.noise = NoiseKind::kBounded;
   model.bounded_amplitude = bounded_noise_amplitude(

@@ -38,7 +38,7 @@ int main() {
             << map->grid().cell_count() << " cells\n\n";
 
   // 3. The tracker (basic mode, heuristic matching with warm starts).
-  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kBasic, eps, true, 0.5});
+  FtttTracker tracker(map, FtttTracker::Config{VectorMode::kBasic, eps});
 
   // 4. A target and the sampling loop: one grouping sampling (k = 5 RSS
   //    samples per sensor) every 0.5 s.

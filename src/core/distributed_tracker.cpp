@@ -81,7 +81,7 @@ DistributedTracker::DistributedTracker(const Deployment& nodes, double C,
                                                     config.grid_cell, pool);
     head.map = std::make_shared<const FaceMap>(head.builder->build());
     head.tracker = std::make_unique<FtttTracker>(
-        head.map, FtttTracker::Config{config.mode, config.eps, true, 0.5});
+        head.map, FtttTracker::Config{config.mode, config.eps});
     heads_.push_back(std::move(head));
   }
 }
@@ -138,16 +138,6 @@ bool DistributedTracker::on_node_recovered(NodeId global) {
   return false;
 }
 
-GroupingSampling DistributedTracker::project(const GroupingSampling& group,
-                                             const std::vector<NodeId>& members) {
-  GroupingSampling local(members.size(), group.instants());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const NodeId m = members[i];
-    if (group.has(m)) local.set_column(i, group.column(m));
-  }
-  return local;
-}
-
 std::optional<std::size_t> DistributedTracker::route(const GroupingSampling& group) const {
   FTTT_OBS_SPAN("distributed.route");
   // Strongest mean column RSS among reporting members wins; ties go to
@@ -189,32 +179,7 @@ TrackEstimate DistributedTracker::localize(const GroupingSampling& group) {
   }
 
   Head& head = heads_[active_];
-  return head.tracker->localize(project(group, head.map_members));
-}
-
-std::vector<TrackEstimate> DistributedTracker::localize_batch(
-    const std::vector<GroupingSampling>& frame) {
-  FTTT_OBS_SPAN("distributed.localize_batch");
-  std::vector<TrackEstimate> results(frame.size());
-  // Scatter the frame across heads, then one batched localization per
-  // head over its share. Epochs nobody hears fall back to the sticky
-  // active head, mirroring the single-target path.
-  std::vector<std::vector<std::size_t>> share(heads_.size());
-  for (std::size_t i = 0; i < frame.size(); ++i)
-    share[route(frame[i]).value_or(active_)].push_back(i);
-
-  for (std::size_t c = 0; c < heads_.size(); ++c) {
-    if (share[c].empty()) continue;
-    Head& head = heads_[c];
-    std::vector<GroupingSampling> projected;
-    projected.reserve(share[c].size());
-    for (std::size_t i : share[c])
-      projected.push_back(project(frame[i], head.map_members));
-    const std::vector<TrackEstimate> estimates = head.tracker->localize_batch(projected);
-    for (std::size_t k = 0; k < share[c].size(); ++k)
-      results[share[c][k]] = estimates[k];
-  }
-  return results;
+  return head.tracker->localize(project_onto(group, head.map_members));
 }
 
 std::size_t DistributedTracker::total_faces() const {

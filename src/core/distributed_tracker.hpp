@@ -47,13 +47,6 @@ class DistributedTracker {
   /// ids). Routes to the cluster with the strongest aggregate signal.
   TrackEstimate localize(const GroupingSampling& group);
 
-  /// Localize a frame of independent epochs (multi-target traffic): each
-  /// epoch routes to its strongest cluster and every head localizes its
-  /// share in one SoA batch pass (FtttTracker::localize_batch). The
-  /// single-target active-cluster / handoff bookkeeping is untouched —
-  /// it has no meaning across independent targets.
-  std::vector<TrackEstimate> localize_batch(const std::vector<GroupingSampling>& frame);
-
   /// Cluster whose members hear `group` the strongest (mean column RSS),
   /// or nullopt when no member reports.
   std::optional<std::size_t> route(const GroupingSampling& group) const;
@@ -101,10 +94,6 @@ class DistributedTracker {
     std::shared_ptr<const FaceMap> map;       ///< over relabeled members
     std::unique_ptr<FtttTracker> tracker;
   };
-
-  /// Extract the member columns of a global group, relabeled to 0..m-1.
-  static GroupingSampling project(const GroupingSampling& group,
-                                  const std::vector<NodeId>& members);
 
   /// Re-derive `head`'s map/tracker from its builder after a delta;
   /// deferred (returns false) below two live members.

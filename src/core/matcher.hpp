@@ -8,8 +8,8 @@
 // from a start face (normally the previous localization's face),
 // following the steepest similarity ascent until no neighbor improves.
 // The grid approximation can introduce local maxima the exact arrangement
-// lacks, so callers may retry exhaustively when the achieved similarity is
-// poor (see FtttTracker::Config::fallback_similarity).
+// lacks, so the localization rule retries exhaustively when the achieved
+// similarity is poor (match_with_fallback in core/tracker.hpp).
 #pragma once
 
 #include <vector>

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/check.hpp"
-
 namespace fttt {
 
 const char* track_state_name(TrackState s) {
@@ -37,56 +35,18 @@ void TrackManager::transition_to(TrackState next) {
   state_ = next;
 }
 
-bool TrackManager::gate(const GroupingSampling& group, Update& update) {
-  // Coverage gate: with almost nobody reporting there is no information;
-  // do not feed the matcher noise.
-  if (group.reporting_count() < config_.min_reporting) {
-    transition_to(TrackState::kLost);
-    update.state = state_;
-    return false;
-  }
-  if (state_ == TrackState::kLost) transition_to(TrackState::kAcquiring);
-  return true;
-}
-
 TrackManager::Update TrackManager::process(const GroupingSampling& group, double t) {
   Update update;
-  if (!gate(group, update)) return update;
-  return absorb(tracker_->localize(group), t);
-}
-
-std::vector<TrackManager::Update> TrackManager::process_frame(
-    const std::vector<TrackManager*>& tracks,
-    const std::vector<GroupingSampling>& frame, double t) {
-  FTTT_CHECK(tracks.size() == frame.size(), "process_frame: ", tracks.size(),
-             " tracks vs ", frame.size(), " grouping samplings");
-  std::vector<Update> updates(tracks.size());
-
-  std::vector<std::size_t> eligible;
-  eligible.reserve(tracks.size());
-  for (std::size_t i = 0; i < tracks.size(); ++i) {
-    FTTT_CHECK(tracks[i] != nullptr, "process_frame: null track ", i);
-    if (tracks[i]->gate(frame[i], updates[i])) eligible.push_back(i);
+  // Coverage gate: with almost nobody reporting there is no information;
+  // do not feed the matcher noise.
+  if (group.reporting_count() < kMinReporting) {
+    transition_to(TrackState::kLost);
+    update.state = state_;
+    return update;
   }
-  if (eligible.empty()) return updates;
+  if (state_ == TrackState::kLost) transition_to(TrackState::kAcquiring);
 
-  FtttTracker* shared = tracks[eligible.front()]->tracker_.get();
-  std::vector<const GroupingSampling*> groups;
-  groups.reserve(eligible.size());
-  for (std::size_t i : eligible) {
-    FTTT_CHECK(tracks[i]->tracker_.get() == shared,
-               "process_frame: every track must share one FtttTracker");
-    groups.push_back(&frame[i]);
-  }
-
-  const std::vector<TrackEstimate> estimates = shared->localize_batch(groups);
-  for (std::size_t k = 0; k < eligible.size(); ++k)
-    updates[eligible[k]] = tracks[eligible[k]]->absorb(estimates[k], t);
-  return updates;
-}
-
-TrackManager::Update TrackManager::absorb(const TrackEstimate& estimate, double t) {
-  Update update;
+  const TrackEstimate estimate = tracker_->localize(group);
   update.estimate = estimate;
 
   // Similarity-collapse detector over a sliding window. Exact matches

@@ -34,8 +34,6 @@ class TrackManager {
     std::size_t similarity_window{6};
     /// Median similarity below this declares the track lost.
     double min_similarity{0.35};
-    /// Minimum reporting nodes for a localization to count at all.
-    std::size_t min_reporting{2};
     /// Velocity smoothing config.
     VelocityEstimator::Config velocity{};
   };
@@ -49,18 +47,9 @@ class TrackManager {
 
   TrackManager(std::shared_ptr<FtttTracker> tracker, Config config);
 
-  /// Process one grouping sampling at time `t`.
+  /// Process one grouping sampling at time `t`. Epochs with fewer than
+  /// kMinReporting reporting nodes declare the track lost.
   Update process(const GroupingSampling& group, double t);
-
-  /// Process one multi-target frame: frame[i] is track i's grouping
-  /// sampling for this epoch. Every coverage-eligible track localizes in
-  /// ONE SoA batch pass (FtttTracker::localize_batch), then each manager
-  /// runs its own state machine on its estimate. All tracks must share
-  /// one FtttTracker (per-track state — warm starts aside, which the
-  /// batch path does not use — lives in the managers).
-  static std::vector<Update> process_frame(const std::vector<TrackManager*>& tracks,
-                                           const std::vector<GroupingSampling>& frame,
-                                           double t);
 
   TrackState state() const { return state_; }
   std::size_t losses() const { return losses_; }
@@ -68,14 +57,6 @@ class TrackManager {
 
  private:
   void transition_to(TrackState next);
-
-  /// Coverage gate + lost->acquiring transition. Returns false (with
-  /// `update` filled) when this epoch carries no usable information.
-  bool gate(const GroupingSampling& group, Update& update);
-
-  /// Post-localization half of process(): collapse detection,
-  /// confirmation counting, velocity update.
-  Update absorb(const TrackEstimate& estimate, double t);
 
   std::shared_ptr<FtttTracker> tracker_;
   Config config_;

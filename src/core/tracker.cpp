@@ -1,10 +1,82 @@
 #include "core/tracker.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 
 namespace fttt {
+
+namespace {
+
+/// Steps 1-2: climb from `start`; true when the climb clears the floor.
+bool climb_clears_floor(const BatchMatcher& matcher, const SamplingVector& vd,
+                        FaceId start, MatchResult& climbed) {
+  FTTT_OBS_COUNT("tracker.climb.calls", 1);
+  climbed = matcher.climb(vd, start);
+  if (climbed.similarity >= kFallbackSimilarity) return true;
+  FTTT_OBS_COUNT("tracker.fallbacks", 1);
+  return false;
+}
+
+/// Step 4: the exhaustive result wins only when strictly better than the
+/// climb it fell back from (absent on a cold start).
+Localized settle(std::optional<MatchResult> climbed, MatchResult full) {
+  const std::size_t faces =
+      full.faces_examined + (climbed ? climbed->faces_examined : 0);
+  Localized out{climbed && !(full.similarity > climbed->similarity)
+                    ? std::move(*climbed)
+                    : std::move(full),
+                false};
+  out.match.faces_examined = faces;
+  return out;
+}
+
+}  // namespace
+
+Localized match_with_fallback(const BatchMatcher& matcher, const SamplingVector& vd,
+                              std::optional<FaceId> start) {
+  std::optional<MatchResult> climbed;
+  if (start) {
+    climbed.emplace();
+    if (climb_clears_floor(matcher, vd, *start, *climbed))
+      return Localized{std::move(*climbed), true};
+  }
+  return settle(std::move(climbed), matcher.match_one(vd));
+}
+
+std::vector<Localized> match_with_fallback(const BatchMatcher& matcher,
+                                           std::vector<SamplingVector> vectors,
+                                           std::span<const std::optional<FaceId>> starts) {
+  if (vectors.size() != starts.size())
+    throw std::invalid_argument("match_with_fallback: vector and start counts differ");
+  std::vector<Localized> out(vectors.size());
+
+  // Residue: vectors the exhaustive pass resolves, with the climb they
+  // fell back from (absent for cold starts).
+  std::vector<std::size_t> residue;
+  std::vector<std::optional<MatchResult>> climbs;
+  std::vector<SamplingVector> batch;
+  for (std::size_t i = 0; i < vectors.size(); ++i) {
+    std::optional<MatchResult> climbed;
+    if (starts[i]) {
+      climbed.emplace();
+      if (climb_clears_floor(matcher, vectors[i], *starts[i], *climbed)) {
+        out[i] = Localized{std::move(*climbed), true};
+        continue;
+      }
+    }
+    residue.push_back(i);
+    climbs.push_back(std::move(climbed));
+    batch.push_back(std::move(vectors[i]));
+  }
+  if (batch.empty()) return out;
+
+  std::vector<MatchResult> matches = matcher.match(batch);
+  for (std::size_t k = 0; k < residue.size(); ++k)
+    out[residue[k]] = settle(std::move(climbs[k]), std::move(matches[k]));
+  return out;
+}
 
 FtttTracker::FtttTracker(std::shared_ptr<const FaceMap> map, Config config)
     : map_(std::move(map)), config_(config), batch_(map_) {
@@ -26,70 +98,16 @@ TrackEstimate FtttTracker::localize(const GroupingSampling& group) {
 
 TrackEstimate FtttTracker::localize(const SamplingVector& vd) {
   FTTT_OBS_SPAN("tracker.localize");
-
-  // Both paths run on the SoA signature table (bit-identical to the
-  // scalar reference matchers, see core/batch_matcher.hpp).
-  MatchResult result;
-  if (config_.use_heuristic) {
-    // Warm start from the previous localization when available; a cold
-    // start begins at the field-center face (Algorithm 2's
-    // Initialization()).
-    const FaceId start =
-        previous_face_.value_or(map_->face_at(map_->grid().extent().center()));
-    FTTT_OBS_COUNT("tracker.climb.calls", 1);
-    result = batch_.climb(vd, start);
-    if (result.similarity < config_.fallback_similarity) {
-      const MatchResult full = batch_.match_one(vd);
-      stats_.faces_examined += full.faces_examined;
-      ++stats_.fallbacks;
-      FTTT_OBS_COUNT("tracker.fallbacks", 1);
-      if (full.similarity > result.similarity) result = full;
-    }
-  } else {
-    FTTT_OBS_COUNT("tracker.exhaustive.calls", 1);
-    result = batch_.match_one(vd);
-  }
+  const Localized r = match_with_fallback(
+      batch_, vd, previous_face_.value_or(map_->face_at(map_->grid().extent().center())));
 
   ++stats_.localizations;
-  stats_.faces_examined += result.faces_examined;
+  stats_.faces_examined += r.match.faces_examined;
+  if (!r.warm) ++stats_.fallbacks;
   FTTT_OBS_COUNT("tracker.localizations", 1);
-  FTTT_OBS_COUNT("tracker.faces_examined", result.faces_examined);
-  previous_face_ = result.face;
-  return TrackEstimate{result.position, result.face, result.similarity};
-}
-
-std::vector<TrackEstimate> FtttTracker::localize_batch(
-    const std::vector<const GroupingSampling*>& groups) {
-  FTTT_OBS_SPAN("tracker.localize_batch");
-  FTTT_OBS_HIST("tracker.batch.size", "vectors", groups.size());
-  std::vector<SamplingVector> vds;
-  vds.reserve(groups.size());
-  for (const GroupingSampling* group : groups) {
-    if (!group || group->node_count() != map_->nodes().size())
-      throw std::invalid_argument(
-          "FtttTracker: grouping sampling node count != map deployment");
-    vds.push_back(build_sampling_vector(*group, config_.eps, config_.mode,
-                                        config_.missing));
-  }
-
-  const std::vector<MatchResult> matches = batch_.match(vds);
-  std::vector<TrackEstimate> estimates;
-  estimates.reserve(matches.size());
-  for (const MatchResult& m : matches) {
-    ++stats_.localizations;
-    stats_.faces_examined += m.faces_examined;
-    estimates.push_back(TrackEstimate{m.position, m.face, m.similarity});
-  }
-  FTTT_OBS_COUNT("tracker.localizations", matches.size());
-  return estimates;
-}
-
-std::vector<TrackEstimate> FtttTracker::localize_batch(
-    const std::vector<GroupingSampling>& groups) {
-  std::vector<const GroupingSampling*> ptrs;
-  ptrs.reserve(groups.size());
-  for (const GroupingSampling& g : groups) ptrs.push_back(&g);
-  return localize_batch(ptrs);
+  FTTT_OBS_COUNT("tracker.faces_examined", r.match.faces_examined);
+  previous_face_ = r.match.face;
+  return TrackEstimate{r.match.position, r.match.face, r.match.similarity};
 }
 
 }  // namespace fttt

@@ -36,6 +36,18 @@ std::size_t GroupingSampling::reporting_count() const {
   return n;
 }
 
+GroupingSampling project_onto(const GroupingSampling& group,
+                              std::span<const NodeId> members) {
+  GroupingSampling projected(members.size(), group.instants());
+  for (std::size_t local = 0; local < members.size(); ++local) {
+    const NodeId global = members[local];
+    FTTT_DCHECK(global < group.node_count(), "project_onto: member ", global,
+                " outside roster of ", group.node_count());
+    if (group.has(global)) projected.set_column(local, group.column(global));
+  }
+  return projected;
+}
+
 GroupingSampling collect_group(const Deployment& nodes, const SamplingConfig& cfg,
                                const FaultModel& faults, std::uint64_t epoch, double t0,
                                const std::function<Vec2(double)>& target_at,

@@ -83,6 +83,12 @@ class GroupingSampling {
   std::vector<std::uint64_t> present_;  ///< bit i set iff node i reported
 };
 
+/// `group` restricted to the strictly ascending node ids `members`, with
+/// member i relabeled to local node i (a division or cluster over a
+/// subset of the roster). Contract: every member < group.node_count().
+GroupingSampling project_onto(const GroupingSampling& group,
+                              std::span<const NodeId> members);
+
 /// Static sampling parameters.
 struct SamplingConfig {
   PathLossModel model;            ///< propagation + noise model (Eq. 1)

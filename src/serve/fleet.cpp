@@ -1,5 +1,7 @@
 #include "serve/fleet.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -49,7 +51,13 @@ TrackManagerFleet::~TrackManagerFleet() {
 }
 
 bool TrackManagerFleet::admit(const ReportFrame& frame) {
-  if (frame.group.node_count() == roster_.size()) return true;
+  // Absent columns read as zeros, so one pass over the raw storage finds
+  // any non-finite sample of a reporting column.
+  const GroupingSampling& group = frame.group;
+  const std::span<const double> raw = group.raw();
+  if (group.node_count() == roster_.size() && group.instants() > 0 &&
+      std::all_of(raw.begin(), raw.end(), [](double x) { return std::isfinite(x); }))
+    return true;
   malformed_.fetch_add(1, std::memory_order_relaxed);
   FTTT_OBS_COUNT("serve.malformed", 1);
   return false;

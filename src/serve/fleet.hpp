@@ -89,7 +89,8 @@ class TrackManagerFleet {
     std::uint64_t shed{0};           ///< oldest-first evictions (submit)
     std::uint64_t rejected{0};       ///< try_submit refusals
     /// Frames refused at ingestion, by any submit form, because their
-    /// grouping sampling is not roster-wide (node_count != roster_size()).
+    /// grouping sampling is not roster-wide (node_count != roster_size()),
+    /// has no instants, or holds a non-finite sample.
     std::uint64_t malformed{0};
     std::uint64_t frames{0};         ///< frames resolved across all ticks
     std::uint64_t localizations{0};  ///< updates carrying an estimate
@@ -125,8 +126,10 @@ class TrackManagerFleet {
   //
   // Every form refuses — returns false and counts Stats::malformed — a
   // frame whose grouping sampling is not roster-wide
-  // (group.node_count() != roster_size()); the shards' projection onto
-  // the alive members relies on it.
+  // (group.node_count() != roster_size()), has zero instants, or holds a
+  // NaN/inf sample in a reporting column. The shards' projection onto
+  // the alive members relies on the first; the sampling-vector build
+  // would silently turn the others into wrong trits.
 
   /// Load-shedding submit: evicts the oldest queued frame when full.
   /// False only after close() or for a malformed frame.
@@ -200,8 +203,9 @@ class TrackManagerFleet {
     return static_cast<std::size_t>(splitmix64(track) % shards_.size());
   }
 
-  /// Ingestion guard of the submit forms: true for a roster-wide frame,
-  /// otherwise counts it as malformed.
+  /// Ingestion guard of the submit forms: true for a roster-wide frame
+  /// with at least one instant and only finite samples, otherwise counts
+  /// it as malformed.
   bool admit(const ReportFrame& frame);
 
   /// Serve division_ on every shard.

@@ -36,8 +36,8 @@ struct TrackUpdate {
   /// Absent when the frame failed the coverage gate (too few reporting
   /// nodes to carry information — the track is held, not dropped).
   std::optional<TrackEstimate> estimate;
-  /// True when the estimate came from a warm-start climb (Algorithm 2)
-  /// rather than the exhaustive batch pass.
+  /// True when the warm-start climb (Algorithm 2) cleared the fallback
+  /// floor, so the exhaustive batch pass did not run for this frame.
   bool warm{false};
 };
 

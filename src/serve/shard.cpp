@@ -10,10 +10,7 @@
 namespace fttt {
 
 TrackShard::TrackShard(Config config, ThreadPool& pool)
-    : config_(config), pool_(&pool) {
-  if (config_.min_reporting < 2)
-    throw std::invalid_argument("TrackShard: min_reporting < 2 (a lone column orders no pair)");
-}
+    : config_(config), pool_(&pool) {}
 
 void TrackShard::adopt_division(std::shared_ptr<const FaceMap> map,
                                 std::shared_ptr<const SignatureTable> table,
@@ -41,102 +38,77 @@ void TrackShard::adopt_division(std::shared_ptr<const FaceMap> map,
   else if (config_.hierarchical)
     matcher_->build_hierarchy();
   // Face ids are an artifact of the division: a track's previous face
-  // means nothing under the new one, so every next climb cold-starts
-  // (through the exhaustive batch pass). Slots survive — churn holds
+  // means nothing under the new one, so every next localization starts
+  // cold (through the exhaustive batch pass). Slots survive — churn holds
   // tracks, it never drops them.
   for (TrackSlot& slot : slots_) slot.warm.reset();
 }
 
-TrackShard::TrackSlot& TrackShard::slot_for(TrackId track) {
+std::size_t TrackShard::slot_of(TrackId track) {
   const auto [it, inserted] = index_.try_emplace(track, slots_.size());
-  if (inserted) slots_.push_back(TrackSlot{track, std::nullopt, 0});
-  return slots_[it->second];
-}
-
-GroupingSampling TrackShard::project(const GroupingSampling& group) const {
-  GroupingSampling projected(members_.size(), group.instants());
-  for (std::size_t local = 0; local < members_.size(); ++local) {
-    const NodeId global = members_[local];
-    FTTT_DCHECK(global < group.node_count(), "TrackShard::project: member ", global,
-                " outside roster of ", group.node_count());
-    if (group.has(global)) projected.set_column(local, group.column(global));
-  }
-  return projected;
+  if (inserted) slots_.push_back(TrackSlot{std::nullopt, false});
+  return it->second;
 }
 
 void TrackShard::resolve(std::span<const ReportFrame* const> frames, TrackUpdate* out) {
   FTTT_CHECK(matcher_ != nullptr, "TrackShard::resolve before adopt_division");
   FTTT_OBS_SPAN("serve.shard.resolve");
 
-  // Residue of phase 1: frames whose vector needs the exhaustive pass
-  // (cold tracks and poor climbs, with the climb result kept so the
-  // better of the two wins — FtttTracker's fallback rule).
-  struct Pending {
-    std::size_t frame;                  ///< index into frames/out
-    std::optional<MatchResult> climbed; ///< set when a fallback retry
-  };
-  std::vector<SamplingVector> batch;
-  std::vector<Pending> pending;
-
-  const auto commit = [&](std::size_t i, TrackSlot& slot, const MatchResult& r,
-                          bool warm) {
-    out[i].estimate = TrackEstimate{r.position, r.face, r.similarity};
-    out[i].warm = warm;
-    slot.warm = r.face;
-    ++slot.localizations;
-    ++localizations_;
+  // The batch under construction holds at most one frame per track, so
+  // every climb starts from its track's latest face.
+  std::vector<std::size_t> batch_frames;
+  std::vector<std::size_t> batch_slots;
+  std::vector<SamplingVector> vectors;
+  std::vector<std::optional<FaceId>> starts;
+  const auto flush = [&] {
+    if (batch_frames.empty()) return;
+    const std::vector<Localized> results =
+        match_with_fallback(*matcher_, std::move(vectors), starts);
+    std::size_t residue = 0;
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      const MatchResult& m = results[k].match;
+      out[batch_frames[k]].estimate = TrackEstimate{m.position, m.face, m.similarity};
+      out[batch_frames[k]].warm = results[k].warm;
+      slots_[batch_slots[k]].warm = m.face;
+      slots_[batch_slots[k]].pending = false;
+      if (!results[k].warm) ++residue;
+    }
+    if (residue > 0) {
+      FTTT_OBS_HIST("serve.shard.batch", "vectors", residue);
+    }
+    batch_frames.clear();
+    batch_slots.clear();
+    vectors.clear();
+    starts.clear();
   };
 
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const ReportFrame& frame = *frames[i];
-    TrackUpdate& update = out[i];
-    update = TrackUpdate{frame.track, frame.epoch, std::nullopt, false};
-    TrackSlot& slot = slot_for(frame.track);
+    out[i] = TrackUpdate{frame.track, frame.epoch, std::nullopt, false};
+    const std::size_t s = slot_of(frame.track);
+    if (slots_[s].pending) flush();  // a track's next frame climbs from this one
 
     const bool identity = members_.size() == frame.group.node_count();
-    const GroupingSampling projected = identity ? GroupingSampling{} : project(frame.group);
+    const GroupingSampling projected =
+        identity ? GroupingSampling{} : project_onto(frame.group, members_);
     const GroupingSampling& group = identity ? frame.group : projected;
 
     // Coverage gate: with almost nobody reporting there is no
     // information; do not feed the matcher noise, and cold-start the
-    // next climb (the track may have moved arbitrarily meanwhile).
-    if (group.reporting_count() < config_.min_reporting) {
-      slot.warm.reset();
+    // next localization (the track may have moved arbitrarily meanwhile).
+    if (group.reporting_count() < kMinReporting) {
+      slots_[s].warm.reset();
       continue;
     }
 
-    SamplingVector vd =
-        build_sampling_vector(group, config_.eps, config_.mode, config_.missing);
-    if (slot.warm) {
-      ++climbs_;
-      const MatchResult climbed = matcher_->climb(vd, *slot.warm);
-      if (climbed.similarity >= config_.fallback_similarity) {
-        commit(i, slot, climbed, /*warm=*/true);
-        continue;
-      }
-      ++fallbacks_;
-      pending.push_back({i, climbed});
-    } else {
-      pending.push_back({i, std::nullopt});
-    }
-    batch.push_back(std::move(vd));
+    vectors.push_back(
+        build_sampling_vector(group, config_.eps, config_.mode, config_.missing));
+    starts.push_back(slots_[s].warm);
+    batch_frames.push_back(i);
+    batch_slots.push_back(s);
+    slots_[s].pending = true;
   }
-
-  if (batch.empty()) return;
-  FTTT_OBS_HIST("serve.shard.batch", "vectors", batch.size());
-
-  // Phase 2: the whole residue in one blocked SoA pass.
-  const std::vector<MatchResult> matches = matcher_->match(batch);
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    const MatchResult& full = matches[k];
-    // FtttTracker::localize(SamplingVector): the exhaustive retry wins
-    // only when strictly better than the climb it fell back from.
-    const bool keep_climb =
-        pending[k].climbed && !(full.similarity > pending[k].climbed->similarity);
-    const MatchResult& r = keep_climb ? *pending[k].climbed : full;
-    commit(pending[k].frame, slot_for(frames[pending[k].frame]->track), r,
-           /*warm=*/false);
-  }
+  flush();
 }
 
 }  // namespace fttt

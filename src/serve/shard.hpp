@@ -1,35 +1,34 @@
 // One fleet shard: per-track warm-start state over a shared division.
 //
 // A shard owns the slots of the tracks routed to it and resolves one
-// tick's frames in two phases (the cross-*target* sequel to the epoch
-// pipeline's cross-epoch batching):
+// tick's frames through the batch form of the localization rule
+// (match_with_fallback, core/tracker.hpp) — the cross-*target* sequel
+// to the epoch pipeline's cross-epoch batching:
 //
 //   1. warm climbs — a track that localized before hill-climbs from its
-//      previous face (Algorithm 2 via BatchMatcher::climb, the same SoA
-//      path FtttTracker::localize(SamplingVector) uses). Most ticks,
-//      most tracks move at most a face or two, so this touches a
-//      handful of signature columns per track;
-//   2. one exhaustive SoA pass — cold tracks and poor climbs (below the
-//      fallback similarity, FtttTracker's retry rule) collect into a
-//      single BatchMatcher::match call that resolves the whole residue
-//      in one blocked plane-major sweep.
+//      previous face (Algorithm 2). Most ticks, most tracks move at most
+//      a face or two, so this touches a handful of signature columns per
+//      track;
+//   2. one exhaustive SoA pass — cold tracks and climbs below the
+//      fallback floor collect into a single BatchMatcher::match call
+//      that resolves the whole residue in one blocked plane-major sweep.
 //
 // Per-frame results are bit-identical to a serial per-track replay of
-// the same stream (replay semantics in fleet.hpp): climb is per-track
-// deterministic, and match() is bit-identical to match_one() for every
-// batch composition, so *how* frames are sharded and batched can never
-// change an estimate — the determinism suite in tests/serve holds the
-// fleet to that across 1/2/8 shards.
+// the same stream (replay semantics in fleet.hpp): the rule's batch form
+// equals its single form vector for vector, and a track's second frame
+// in one tick waits for its first (the pending batch resolves before
+// the track reappears), so *how* frames are sharded and batched can
+// never change an estimate — the determinism suite in tests/serve holds
+// the fleet to that across 1/2/8 shards.
 //
 // Deployment churn: the shard serves whatever division it was last
 // handed via adopt_division(). Frames stay roster-wide; the shard
 // projects them onto the division's member set (the alive nodes), so
 // producers are insulated from fail/revive. Face ids are not stable
 // across divisions, so adopting a new one cold-starts every track's
-// next climb; slots — and therefore tracks — are never dropped.
+// next localization; slots — and therefore tracks — are never dropped.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -49,12 +48,6 @@ class TrackShard {
     VectorMode mode{VectorMode::kBasic};
     double eps{1.0};                 ///< sensing resolution (dB)
     MissingPolicy missing{MissingPolicy::kMissingReadsSmaller};
-    /// A climb converging below this similarity retries exhaustively in
-    /// the batch pass (FtttTracker::Config::fallback_similarity rule).
-    double fallback_similarity{0.5};
-    /// Frames with fewer reporting nodes carry no information and are
-    /// gated out (TrackManager::Config::min_reporting semantics).
-    std::size_t min_reporting{2};
     /// Resolve the exhaustive batch pass through the coarse descent tier
     /// (BatchMatcher::descend) instead of the flat SoA sweep. Argmax
     /// bit-identical either way; sublinear at large N. When
@@ -85,32 +78,26 @@ class TrackShard {
 
   /// Resolve one tick's frames; out[i] is frames[i]'s update (frame
   /// order, so the fleet can scatter shard outputs into a stable
-  /// drain-order result). Creates slots for unseen track ids. Contract:
+  /// drain-order result). Creates slots for unseen track ids. Frames
+  /// with fewer than kMinReporting reporting nodes are gated out: no
+  /// estimate, and the track's next localization starts cold. Contract:
   /// adopt_division() was called; every frame's grouping sampling is
   /// roster-wide (node_count > max member id).
   void resolve(std::span<const ReportFrame* const> frames, TrackUpdate* out);
 
   std::size_t track_count() const { return slots_.size(); }
-  std::uint64_t localizations() const { return localizations_; }
-  std::uint64_t climbs() const { return climbs_; }
-  std::uint64_t fallbacks() const { return fallbacks_; }
 
   const std::vector<NodeId>& members() const { return members_; }
 
  private:
   struct TrackSlot {
-    TrackId id{0};
-    std::optional<FaceId> warm;       ///< previous face in the *current* division
-    std::uint64_t localizations{0};
+    std::optional<FaceId> warm;  ///< previous face in the *current* division
+    bool pending{false};         ///< has a frame in the unresolved batch
   };
 
-  /// Find-or-create the slot of `track` (dense slot ids, creation order;
-  /// the index map is lookup-only, never iterated).
-  TrackSlot& slot_for(TrackId track);
-
-  /// `group` restricted to members_, relabeled to local ids 0..m-1.
-  /// Identity (no copy) when the division covers the whole roster.
-  GroupingSampling project(const GroupingSampling& group) const;
+  /// Find-or-create the slot index of `track` (dense slot ids, creation
+  /// order; the index map is lookup-only, never iterated).
+  std::size_t slot_of(TrackId track);
 
   Config config_;
   ThreadPool* pool_;
@@ -121,10 +108,6 @@ class TrackShard {
 
   std::vector<TrackSlot> slots_;
   std::unordered_map<TrackId, std::size_t> index_;
-
-  std::uint64_t localizations_{0};
-  std::uint64_t climbs_{0};
-  std::uint64_t fallbacks_{0};
 };
 
 }  // namespace fttt

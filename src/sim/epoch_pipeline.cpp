@@ -110,7 +110,7 @@ void EpochPipeline::run(std::uint64_t trial, const Deployment& nodes,
       case Method::kFttt:
       case Method::kFtttExtended: {
         FtttTracker tracker(uncertain.map,
-                            FtttTracker::Config{fttt_mode(methods_[m]), cfg.eps, true, 0.5,
+                            FtttTracker::Config{fttt_mode(methods_[m]), cfg.eps,
                                                 cfg.missing, cfg.hierarchical_matching},
                             uncertain.table);
         for (std::size_t e = 0; e < epochs_; ++e)

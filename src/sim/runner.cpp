@@ -63,7 +63,7 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
       case Method::kFttt: {
         auto t = std::make_shared<FtttTracker>(
             uncertain_map,
-            FtttTracker::Config{VectorMode::kBasic, cfg.eps, true, 0.5, cfg.missing,
+            FtttTracker::Config{VectorMode::kBasic, cfg.eps, cfg.missing,
                                 cfg.hierarchical_matching});
         trackers.push_back({[t](const GroupingSampling& g) { return t->localize(g); }});
         break;
@@ -71,7 +71,7 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
       case Method::kFtttExtended: {
         auto t = std::make_shared<FtttTracker>(
             uncertain_map,
-            FtttTracker::Config{VectorMode::kExtended, cfg.eps, true, 0.5, cfg.missing,
+            FtttTracker::Config{VectorMode::kExtended, cfg.eps, cfg.missing,
                                 cfg.hierarchical_matching});
         trackers.push_back({[t](const GroupingSampling& g) { return t->localize(g); }});
         break;

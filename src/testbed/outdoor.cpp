@@ -38,9 +38,9 @@ OutdoorSystem::Result OutdoorSystem::run(ThreadPool& pool) const {
 
   // Silence here is MIB520 link loss, not weak signal: mark those pairs
   // '*' rather than applying Eq. 6's missing-reads-smaller rule.
-  FtttTracker basic(map, FtttTracker::Config{VectorMode::kBasic, eps, true, 0.5,
+  FtttTracker basic(map, FtttTracker::Config{VectorMode::kBasic, eps,
                                              MissingPolicy::kMissingUnknown});
-  FtttTracker extended(map, FtttTracker::Config{VectorMode::kExtended, eps, true, 0.5,
+  FtttTracker extended(map, FtttTracker::Config{VectorMode::kExtended, eps,
                                                 MissingPolicy::kMissingUnknown});
 
   // Keep the walk inside the cross's well-conditioned region (the paper's

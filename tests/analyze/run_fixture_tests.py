@@ -26,6 +26,7 @@ TREE = "tests/analyze/tree"
 CONFIG = REPO / "tests/analyze/fixtures_config.toml"
 LAYERING = REPO / "tests/analyze/fixtures_layering.toml"
 STALE_KERNELS = REPO / "tests/analyze/fixtures_stale_kernels.toml"
+OBS_INVENTORY = REPO / "tests/analyze/fixtures_obs_inventory.toml"
 
 FAILURES: list[str] = []
 
@@ -114,6 +115,17 @@ def scenario_fixtures(frontend: str) -> None:
            [("DET04", 8), ("DET04", 12)])
     expect(f"{tag} stale_kernels file", sorted({f["file"] for f in rep["findings"]}),
            ["tests/analyze/fixtures_stale_kernels.toml"])
+
+    # OBS02: an emitted name missing from the inventory is reported at
+    # its emission, a table name nothing emits at its table row; the
+    # repeated, allow-listed, non-literal and non-metric cases stay quiet.
+    rc, rep = run_analyzer([f"{TREE}/core/clean.cpp"], frontend=frontend,
+                           config=OBS_INVENTORY)
+    expect(f"{tag} obs_inventory exit", rc, 1)
+    expect(f"{tag} obs_inventory findings",
+           sorted((f["file"], f["code"], f["line"]) for f in rep["findings"]),
+           [(f"{TREE}/obs/inventory.cpp", "OBS02", 12),
+            (f"{TREE}/obs/inventory.md", "OBS02", 6)])
 
     rc, rep = run_analyzer([f"{TREE}/core/bad_obs_arg.cpp"], frontend=frontend)
     expect(f"{tag} bad_obs_arg exit", rc, 1)

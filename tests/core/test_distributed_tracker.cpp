@@ -135,38 +135,6 @@ TEST(DistributedTracker, SingleMemberClustersGetMerged) {
   for (const Cluster& c : dt.clusters()) EXPECT_GE(c.members.size(), 2u);
 }
 
-TEST(DistributedTracker, LocalizeBatchMatchesPerTargetAccuracy) {
-  // A multi-target frame routed through the per-head SoA batch path
-  // honors the same noiseless accuracy contract as sequential localize().
-  const Deployment nodes = field_nodes();
-  DistributedTracker dt = make_tracker(nodes, 4);
-  const std::vector<Vec2> targets{{27.0, 22.0}, {73.0, 26.0}, {24.0, 71.0}};
-  std::vector<GroupingSampling> frame;
-  std::uint64_t epoch = 0;
-  for (Vec2 target : targets) frame.push_back(sample_at(nodes, target, epoch++));
-  const std::vector<TrackEstimate> estimates = dt.localize_batch(frame);
-  ASSERT_EQ(estimates.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_LT(distance(estimates[i].position, targets[i]), 20.0) << i;
-    EXPECT_GE(estimates[i].similarity, 1.0) << i;
-  }
-}
-
-TEST(DistributedTracker, LocalizeBatchLeavesHandoffBookkeepingUntouched) {
-  // The frame path serves multiple independent targets at once, so it
-  // must not advance the single-target sticky-head / handoff counters.
-  const Deployment nodes = field_nodes();
-  DistributedTracker dt = make_tracker(nodes, 4);
-  (void)dt.localize(sample_at(nodes, {27.0, 22.0}, 0));
-  const std::size_t active = dt.active_cluster();
-  const std::size_t handoffs = dt.handoffs();
-  const std::vector<GroupingSampling> frame{sample_at(nodes, {73.0, 26.0}, 1),
-                                            sample_at(nodes, {24.0, 71.0}, 2)};
-  (void)dt.localize_batch(frame);
-  EXPECT_EQ(dt.active_cluster(), active);
-  EXPECT_EQ(dt.handoffs(), handoffs);
-}
-
 TEST(DistributedTracker, NodeFailureRebuildsOwningHeadIncrementally) {
   const Deployment nodes = field_nodes();
   DistributedTracker dt = make_tracker(nodes, 4);

@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "common/check.hpp"
 #include "net/deployment.hpp"
 #include "net/faults.hpp"
 #include "net/sampling.hpp"
@@ -18,7 +17,7 @@ std::shared_ptr<FtttTracker> make_tracker() {
   auto map = std::make_shared<const FaceMap>(
       FaceMap::build(grid_deployment(kField, 9), 1.0, kField, 0.5));
   return std::make_shared<FtttTracker>(
-      map, FtttTracker::Config{VectorMode::kBasic, 0.0, true, 0.5});
+      map, FtttTracker::Config{VectorMode::kBasic, 0.0});
 }
 
 GroupingSampling sample_at(const FtttTracker& tracker, Vec2 target,
@@ -60,7 +59,7 @@ TEST(TrackManager, ConfirmsTrackAfterConsistentFixes) {
 
 TEST(TrackManager, CoverageGateDeclaresLost) {
   auto tracker = make_tracker();
-  TrackManager mgr(tracker, {.confirm_count = 1, .min_reporting = 2});
+  TrackManager mgr(tracker, {.confirm_count = 1});
   mgr.process(sample_at(*tracker, {20.0, 20.0}, 0), 0.0);
   EXPECT_EQ(mgr.state(), TrackState::kTracking);
   const auto u = mgr.process(empty_group(9), 0.5);
@@ -71,7 +70,7 @@ TEST(TrackManager, CoverageGateDeclaresLost) {
 
 TEST(TrackManager, ReacquiresAfterLoss) {
   auto tracker = make_tracker();
-  TrackManager mgr(tracker, {.confirm_count = 2, .min_reporting = 2});
+  TrackManager mgr(tracker, {.confirm_count = 2});
   mgr.process(sample_at(*tracker, {10.0, 10.0}, 0), 0.0);
   mgr.process(empty_group(9), 0.5);  // lost
   EXPECT_EQ(mgr.state(), TrackState::kLost);
@@ -114,83 +113,6 @@ TEST(TrackManager, StateNames) {
   EXPECT_STREQ(track_state_name(TrackState::kAcquiring), "acquiring");
   EXPECT_STREQ(track_state_name(TrackState::kTracking), "tracking");
   EXPECT_STREQ(track_state_name(TrackState::kLost), "lost");
-}
-
-/// Exhaustive matching on both sides so per-track process() runs the
-/// identical matcher the batch path uses (the heuristic warm start is a
-/// single-target concept the frame path deliberately skips).
-std::shared_ptr<FtttTracker> make_exhaustive_tracker() {
-  auto map = std::make_shared<const FaceMap>(
-      FaceMap::build(grid_deployment(kField, 9), 1.0, kField, 0.5));
-  return std::make_shared<FtttTracker>(
-      map, FtttTracker::Config{VectorMode::kBasic, 0.0, false, 0.5});
-}
-
-void expect_same_update(const TrackManager::Update& a,
-                        const TrackManager::Update& b) {
-  EXPECT_EQ(a.state, b.state);
-  ASSERT_EQ(a.estimate.has_value(), b.estimate.has_value());
-  if (a.estimate && b.estimate) {
-    EXPECT_EQ(a.estimate->face, b.estimate->face);
-    EXPECT_EQ(a.estimate->position.x, b.estimate->position.x);
-    EXPECT_EQ(a.estimate->position.y, b.estimate->position.y);
-    EXPECT_EQ(a.estimate->similarity, b.estimate->similarity);
-  }
-  ASSERT_EQ(a.velocity.has_value(), b.velocity.has_value());
-  if (a.velocity && b.velocity) {
-    EXPECT_EQ(a.velocity->x, b.velocity->x);
-    EXPECT_EQ(a.velocity->y, b.velocity->y);
-  }
-}
-
-TEST(TrackManager, ProcessFrameMatchesSequentialProcess) {
-  auto seq_tracker = make_exhaustive_tracker();
-  auto bat_tracker = make_exhaustive_tracker();
-  TrackManager seq_a(seq_tracker, {.confirm_count = 2});
-  TrackManager seq_b(seq_tracker, {.confirm_count = 2});
-  TrackManager bat_a(bat_tracker, {.confirm_count = 2});
-  TrackManager bat_b(bat_tracker, {.confirm_count = 2});
-  for (std::uint64_t e = 0; e < 3; ++e) {
-    const std::vector<GroupingSampling> frame{
-        sample_at(*seq_tracker, {12.0, 20.0}, e),
-        sample_at(*seq_tracker, {30.0, 28.0}, e + 100)};
-    const double t = 0.5 * static_cast<double>(e);
-    const TrackManager::Update ua = seq_a.process(frame[0], t);
-    const TrackManager::Update ub = seq_b.process(frame[1], t);
-    const std::vector<TrackManager::Update> us =
-        TrackManager::process_frame({&bat_a, &bat_b}, frame, t);
-    ASSERT_EQ(us.size(), 2u);
-    expect_same_update(ua, us[0]);
-    expect_same_update(ub, us[1]);
-  }
-}
-
-TEST(TrackManager, ProcessFrameGatesLostTracksAndBatchesTheRest) {
-  auto tracker = make_exhaustive_tracker();
-  TrackManager a(tracker, {.confirm_count = 1, .min_reporting = 2});
-  TrackManager b(tracker, {.confirm_count = 1, .min_reporting = 2});
-  TrackManager::process_frame(
-      {&a, &b},
-      {sample_at(*tracker, {20.0, 20.0}, 0), sample_at(*tracker, {10.0, 30.0}, 50)},
-      0.0);
-  EXPECT_EQ(a.state(), TrackState::kTracking);
-  EXPECT_EQ(b.state(), TrackState::kTracking);
-  // Track b's grouping goes dark: a still localizes, b is declared lost
-  // by the coverage gate before the batch is assembled.
-  const std::vector<TrackManager::Update> us = TrackManager::process_frame(
-      {&a, &b}, {sample_at(*tracker, {21.0, 20.0}, 1), empty_group(9)}, 0.5);
-  ASSERT_EQ(us.size(), 2u);
-  EXPECT_EQ(us[0].state, TrackState::kTracking);
-  EXPECT_TRUE(us[0].estimate.has_value());
-  EXPECT_EQ(us[1].state, TrackState::kLost);
-  EXPECT_FALSE(us[1].estimate.has_value());
-}
-
-TEST(TrackManager, ProcessFrameRejectsMismatchedSizes) {
-  ScopedContractHandler scoped(&throwing_contract_handler);
-  auto tracker = make_exhaustive_tracker();
-  TrackManager a(tracker, {.confirm_count = 1});
-  EXPECT_THROW(TrackManager::process_frame({&a}, {}, 0.0), ContractError);
 }
 
 }  // namespace

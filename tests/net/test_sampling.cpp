@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/deployment.hpp"
 
 namespace fttt {
@@ -177,6 +179,23 @@ TEST(GroupingSampling, ReportingCountSaturatesAndClears) {
   // Setting an already-present column must not double count.
   g.set_column(5);
   EXPECT_EQ(g.reporting_count(), 68u);
+}
+
+TEST(GroupingSampling, ProjectOntoRelabelsMembersAndKeepsAbsence) {
+  GroupingSampling g(5, 2);
+  g.set_column(0, std::vector<double>{-50.0, -51.0});
+  g.set_column(3, std::vector<double>{-60.0, -61.0});
+  g.set_column(4, std::vector<double>{-70.0, -71.0});
+  const std::vector<NodeId> members{1, 3, 4};
+  const GroupingSampling p = project_onto(g, members);
+  ASSERT_EQ(p.node_count(), 3u);
+  EXPECT_EQ(p.instants(), 2u);
+  EXPECT_FALSE(p.has(0));  // node 1 did not report
+  ASSERT_TRUE(p.has(1));
+  EXPECT_EQ(p.column(1)[0], -60.0);
+  ASSERT_TRUE(p.has(2));
+  EXPECT_EQ(p.column(2)[1], -71.0);
+  EXPECT_EQ(p.reporting_count(), 2u);
 }
 
 }  // namespace

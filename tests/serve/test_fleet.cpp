@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -154,6 +155,42 @@ TEST(Fleet, ShardCountInvarianceAgainstSerialReplay) {
     EXPECT_EQ(stats.frames, kTracks * kTicks);
     EXPECT_EQ(stats.enqueued, kTracks * kTicks);
     EXPECT_EQ(stats.shed, 0u);
+  }
+}
+
+TEST(Fleet, SeveralFramesOfATrackInOneTickMatchSerialReplay) {
+  // A backlog drained in one tick carries several epochs of each track
+  // (and a gated frame mid-stream): each frame still localizes from its
+  // track's previous result, exactly as the one-at-a-time spec does.
+  const Deployment roster = roster9();
+  constexpr std::size_t kTracks = 5;
+  constexpr std::size_t kTicks = 8;
+  const SyntheticWorkload workload(roster, kField, workload_config(kTracks), 17);
+  std::vector<ReportFrame> backlog;
+  for (const auto& tick_frames : make_stream(workload, kTracks, kTicks))
+    for (const ReportFrame& frame : tick_frames) backlog.push_back(frame);
+  ReportFrame& thin = backlog[2 * kTracks + 1];
+  thin.group.resize(roster.size(), thin.group.instants());
+  thin.group.set_column(3);  // one reporter: gated, the track restarts cold
+
+  TrackManagerFleet::Config cfg;
+  FaceMapCache cache;
+  const FaceMapCache::Entry entry =
+      cache.get_or_build(roster, kC, kField, kCell, ThreadPool::global());
+  std::vector<NodeId> members(roster.size());
+  for (std::size_t i = 0; i < roster.size(); ++i) members[i] = static_cast<NodeId>(i);
+  SerialReplay replay(cfg.track, entry.map, entry.table, members);
+  std::vector<TrackUpdate> spec;
+  for (const ReportFrame& frame : backlog) spec.push_back(replay.process(frame));
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    cfg.shards = shards;
+    TrackManagerFleet fleet(roster, kC, kField, kCell, cfg, ThreadPool::global(),
+                            &cache);
+    for (const ReportFrame& frame : backlog) ASSERT_TRUE(fleet.submit(frame));
+    const std::vector<TrackUpdate> got = fleet.tick();
+    ASSERT_EQ(got.size(), spec.size()) << shards << " shards";
+    for (std::size_t i = 0; i < spec.size(); ++i) expect_identical(got[i], spec[i], i);
   }
 }
 
@@ -452,8 +489,27 @@ TEST(Fleet, RefusesFramesThatAreNotRosterWide) {
   EXPECT_FALSE(fleet.submit(short_frame));
   EXPECT_FALSE(fleet.try_submit(short_frame));
   EXPECT_FALSE(fleet.submit_wait(short_frame));
+
+  // Hostile roster-wide frames: no instants at all, and a NaN (or an
+  // infinity) in a reporting column.
+  ReportFrame no_instants;
+  no_instants.track = 8;
+  no_instants.group.resize(roster.size(), 0);
+  ReportFrame nan_frame = full;
+  nan_frame.track = 9;
+  NodeId reporting = 0;
+  while (!nan_frame.group.has(reporting)) ++reporting;
+  nan_frame.group.set_column(reporting)[0] = std::numeric_limits<double>::quiet_NaN();
+  ReportFrame inf_frame = full;
+  inf_frame.track = 10;
+  inf_frame.group.set_column(reporting)[1] = std::numeric_limits<double>::infinity();
+  for (const ReportFrame* hostile : {&no_instants, &nan_frame, &inf_frame}) {
+    EXPECT_FALSE(fleet.submit(*hostile));
+    EXPECT_FALSE(fleet.try_submit(*hostile));
+    EXPECT_FALSE(fleet.submit_wait(*hostile));
+  }
   auto stats = fleet.stats();
-  EXPECT_EQ(stats.malformed, 3u);
+  EXPECT_EQ(stats.malformed, 12u);
   EXPECT_EQ(stats.enqueued, 0u);
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
@@ -464,7 +520,7 @@ TEST(Fleet, RefusesFramesThatAreNotRosterWide) {
   ASSERT_EQ(updates.size(), 1u);
   EXPECT_EQ(updates[0].track, full.track);
   stats = fleet.stats();
-  EXPECT_EQ(stats.enqueued + stats.malformed, 4u);
+  EXPECT_EQ(stats.enqueued + stats.malformed, 13u);
   EXPECT_EQ(stats.frames, 1u);
   EXPECT_EQ(stats.tracks, 1u);  // the refused track never got a slot
 }

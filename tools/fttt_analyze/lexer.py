@@ -1,11 +1,11 @@
 """Minimal C++ lexer for the token frontend.
 
-Produces a flat token stream with line numbers, with comments and string
-literal *contents* dropped (a string literal becomes one `str` token) so
-checks never match inside text. Handles line/block comments, char
-literals, raw strings (R"delim(...)delim"), preprocessor lines (captured
-whole as `pp` tokens plus parsed `#include` targets), and multi-char
-operators longest-first so `==` is never misread as two `=`.
+Produces a flat token stream with line numbers, with comments dropped
+and each string literal collapsed to one `str` token (its body kept
+aside in `value`) so checks never match inside text. Handles line/block
+comments, char literals, raw strings (R"delim(...)delim"), preprocessor
+lines (captured whole as `pp` tokens plus parsed `#include` targets), and
+multi-char operators longest-first so `==` is never misread as two `=`.
 
 This is not a full C++ grammar — it is exactly enough structure for the
 include-graph, macro-argument, declaration and loop-extent analyses in
@@ -36,6 +36,9 @@ class Token:
     kind: str  # "ident" | "num" | "str" | "char" | "op" | "pp"
     text: str
     line: int
+    # Body of a plain "..." literal, escapes left as written (the inventory
+    # check reads metric names from it); "" for every other token.
+    value: str = ""
 
     def __repr__(self) -> str:  # compact for debugging fixture tests
         return f"{self.text!r}@{self.line}"
@@ -153,7 +156,8 @@ def lex(source: str) -> tuple[list[Token], list[Comment], list[tuple[int, str, s
                     break  # unterminated; bail at line end
                 j += 1
             tokens.append(Token("str" if quote == '"' else "char",
-                                quote + quote, line))
+                                quote + quote, line,
+                                source[i + 1:j] if quote == '"' else ""))
             i = j + 1 if j < n else n
             continue
 
