@@ -2,8 +2,10 @@
 //
 // Times the legacy per-cell FaceMap::build against FaceMapBuilder's
 // span-fill rasterization on the Table 1 default scenario, plus the
-// incremental fail/recover rebuild that re-rasterizes nothing, and emits
-// BENCH_facemap.json (ns/build, builds/s, speedup vs the legacy path).
+// incremental fail/recover rebuild that re-rasterizes nothing — at n = 10
+// and at the N = 64 churn shape, where assembling ~10k faces of 2016
+// planes is the whole cost — and emits BENCH_facemap.json (ns/build,
+// builds/s, speedup vs the legacy path, pool threads per row).
 // tools/fttt_perfcmp.py diffs that file against the checked-in baseline
 // (bench/baselines/BENCH_facemap.json) and gates CI on regressions;
 // docs/perf.md has the full procedure.
@@ -12,8 +14,9 @@
 //
 // Before timing, the builder's map is checked bit-identical to the
 // legacy build — ids, signatures, centroids, adjacency — including after
-// a fail/recover round trip (which must also rasterize zero planes). A
-// wrong-but-fast engine fails the bench, not just the unit suite.
+// a fail/recover round trip (which must also rasterize zero planes), at
+// both roster sizes. A wrong-but-fast engine fails the bench, not just
+// the unit suite.
 //
 // Single-thread rows run on a ThreadPool(1) so the gated speedups
 // measure the algorithm, not the CI machine's core count; the _mt row is
@@ -86,6 +89,7 @@ double time_best(std::size_t repeats, Fn&& fn) {
 struct Row {
   std::string name;
   std::size_t batch;
+  std::size_t threads;  ///< workers of the pool the row's builds ran on
   double ns_per_build;
   double throughput_per_s;
   double speedup_vs_legacy;  ///< < 0 means "not applicable" (the baseline row)
@@ -116,6 +120,64 @@ void expect_identical(const FaceMap& legacy, const FaceMap& plane,
   }
 }
 
+/// Full build and a fail/recover round trip of `victim` against the
+/// legacy division; the round trip must rasterize nothing.
+void check_round_trip(const Deployment& nodes, double C, const Aabb& field, double cell,
+                      NodeId victim, ThreadPool& pool, const std::string& what) {
+  const FaceMap legacy = FaceMap::build(nodes, C, field, cell, pool);
+  FaceMapBuilder builder(nodes, C, field, cell, pool);
+  expect_identical(legacy, builder.build(), what + " full build");
+  builder.deactivate(victim);
+  (void)builder.build();
+  builder.activate(victim);
+  const FaceMap revived = builder.build();
+  expect_identical(legacy, revived, what + " fail/recover round trip");
+  if (builder.last_planes_rasterized() != 0)
+    fail(what + " fail/recover round trip rasterized planes (cache miss)");
+}
+
+/// Per-build seconds of the legacy per-cell build (best of R passes).
+double time_legacy(const Options& opt, const Deployment& nodes, double C, const Aabb& field,
+                   double cell, ThreadPool& pool) {
+  volatile std::size_t sink = 0;  // defeat whole-loop elision
+  const double s = time_best(opt.repeats, [&] {
+    std::size_t acc = 0;
+    for (std::size_t k = 0; k < opt.builds; ++k)
+      acc += FaceMap::build(nodes, C, field, cell, pool).face_count();
+    sink = acc;
+  });
+  (void)sink;
+  return s / static_cast<double>(opt.builds);
+}
+
+/// Per-build seconds of an incremental fail/recover rebuild of `victim`
+/// on a warm builder (both divisions' planes cached, so every build is
+/// pure regroup and assembly — the path a churned fleet takes).
+double time_incremental(const Options& opt, const Deployment& nodes, double C,
+                        const Aabb& field, double cell, NodeId victim, ThreadPool& pool) {
+  FaceMapBuilder warm(nodes, C, field, cell, pool);
+  (void)warm.build();
+  warm.deactivate(victim);
+  (void)warm.build();
+  warm.activate(victim);
+  (void)warm.build();  // cache now holds both divisions
+  volatile std::size_t sink = 0;
+  const double s = time_best(opt.repeats, [&] {
+    std::size_t acc = 0;
+    for (std::size_t k = 0; k < opt.builds; ++k) {
+      warm.deactivate(victim);
+      acc += warm.build().face_count();
+      warm.activate(victim);
+      acc += warm.build().face_count();
+    }
+    sink = acc;
+  });
+  (void)sink;
+  if (warm.last_planes_rasterized() != 0)
+    fail("timed incremental rebuild rasterized planes (cache miss)");
+  return s / (2.0 * static_cast<double>(opt.builds));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -136,36 +198,29 @@ int main(int argc, char** argv) {
   const double cell = 0.5;
   const NodeId victim = 3;  // fail/recover subject for the incremental row
 
+  // The N = 64 churn shape (serve_churn_n64's): 100 x 100 m, 64 random
+  // nodes, 1 m grid — ~10k cells that are nearly all faces, 2016 planes.
+  const std::size_t sensors64 = 64;
+  RngStream rng64(64);
+  const Deployment nodes64 = random_deployment(field, sensors64, rng64);
+  const double cell64 = 1.0;
+
   ThreadPool single(1);
 
   // Correctness gate before any timing: full build and a fail/recover
   // round trip must match the legacy division bit-for-bit, and the round
   // trip must hit the plane cache (zero rasterization).
-  {
-    const FaceMap legacy = FaceMap::build(nodes, C, field, cell, single);
-    FaceMapBuilder builder(nodes, C, field, cell, single);
-    expect_identical(legacy, builder.build(), "full build");
-    builder.deactivate(victim);
-    (void)builder.build();
-    builder.activate(victim);
-    const FaceMap revived = builder.build();
-    expect_identical(legacy, revived, "fail/recover round trip");
-    if (builder.last_planes_rasterized() != 0)
-      fail("fail/recover round trip rasterized planes (cache miss)");
-  }
+  check_round_trip(nodes, C, field, cell, victim, single, "n=10");
+  check_round_trip(nodes64, C, field, cell64, victim, single, "n=64");
 
   std::vector<Row> rows;
   const double ops = static_cast<double>(opt.builds);
   volatile std::size_t sink = 0;  // defeat whole-loop elision
+  const std::size_t pool_threads = ThreadPool::global().thread_count();
 
   // Legacy reference: per-cell signature_at, single thread.
-  const double legacy_s = time_best(opt.repeats, [&] {
-    std::size_t acc = 0;
-    for (std::size_t k = 0; k < opt.builds; ++k)
-      acc += FaceMap::build(nodes, C, field, cell, single).face_count();
-    sink = acc;
-  }) / ops;
-  rows.push_back({"legacy_full", 1, legacy_s * 1e9, 1.0 / legacy_s, -1.0});
+  const double legacy_s = time_legacy(opt, nodes, C, field, cell, single);
+  rows.push_back({"legacy_full", 1, 1, legacy_s * 1e9, 1.0 / legacy_s, -1.0});
 
   // Plane-major full build, single thread (the gated algorithmic win).
   // A fresh builder per build so every pass pays allocation + all
@@ -178,7 +233,7 @@ int main(int argc, char** argv) {
     }
     sink = acc;
   }) / ops;
-  rows.push_back({"plane_full", 1, plane_s * 1e9, 1.0 / plane_s, legacy_s / plane_s});
+  rows.push_back({"plane_full", 1, 1, plane_s * 1e9, 1.0 / plane_s, legacy_s / plane_s});
 
   // Plane-major full build on the shared pool: informational (machine
   // dependent), never gated.
@@ -190,31 +245,22 @@ int main(int argc, char** argv) {
     }
     sink = acc;
   }) / ops;
-  rows.push_back({"plane_full_mt", 1, mt_s * 1e9, 1.0 / mt_s, legacy_s / mt_s});
+  rows.push_back({"plane_full_mt", 1, pool_threads, mt_s * 1e9, 1.0 / mt_s, legacy_s / mt_s});
 
   // Incremental fail/recover rebuild: warm plane cache, so each build is
   // pure regroup — the path DistributedTracker::on_node_failed takes.
   // Gated against the legacy *full* rebuild it replaces.
-  FaceMapBuilder warm(nodes, C, field, cell, single);
-  (void)warm.build();
-  warm.deactivate(victim);
-  (void)warm.build();
-  warm.activate(victim);
-  (void)warm.build();  // cache now holds both divisions
-  const double incr_s = time_best(opt.repeats, [&] {
-    std::size_t acc = 0;
-    for (std::size_t k = 0; k < opt.builds; ++k) {
-      warm.deactivate(victim);
-      acc += warm.build().face_count();
-      warm.activate(victim);
-      acc += warm.build().face_count();
-    }
-    sink = acc;
-  }) / (2.0 * ops);
-  if (warm.last_planes_rasterized() != 0)
-    fail("timed incremental rebuild rasterized planes (cache miss)");
+  const double incr_s = time_incremental(opt, nodes, C, field, cell, victim, single);
   rows.push_back(
-      {"incremental_revive", 1, incr_s * 1e9, 1.0 / incr_s, legacy_s / incr_s});
+      {"incremental_revive", 1, 1, incr_s * 1e9, 1.0 / incr_s, legacy_s / incr_s});
+
+  // The same rebuild at N = 64, gated against the legacy build of that
+  // roster. Rasterization is cached, so this row is assembly: packing,
+  // grouping and emitting 2016 planes for ~10k faces.
+  const double legacy64_s = time_legacy(opt, nodes64, C, field, cell64, single);
+  const double incr64_s = time_incremental(opt, nodes64, C, field, cell64, victim, single);
+  rows.push_back({"incremental_revive_n64", 1, 1, incr64_s * 1e9, 1.0 / incr64_s,
+                  legacy64_s / incr64_s});
   (void)sink;
 
   // Human-readable report.
@@ -224,7 +270,8 @@ int main(int argc, char** argv) {
             << ", builds/pass=" << opt.builds
             << ", threads=" << ThreadPool::global().thread_count() << ")\n";
   for (const Row& r : rows) {
-    std::cout << "  " << r.name << ": " << r.ns_per_build / 1e6 << " ms/build, "
+    std::cout << "  " << r.name << " (" << r.threads << " thr): " << r.ns_per_build / 1e6
+              << " ms/build, "
               << r.throughput_per_s << " builds/s";
     if (r.speedup_vs_legacy > 0.0)
       std::cout << ", speedup " << r.speedup_vs_legacy << "x";
@@ -250,6 +297,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     json << "    {\"name\": \"" << r.name << "\", \"batch\": " << r.batch
+         << ", \"threads\": " << r.threads
          << ", \"ns_per_localization\": " << r.ns_per_build
          << ", \"throughput_per_s\": " << r.throughput_per_s;
     if (r.speedup_vs_legacy > 0.0)

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -69,9 +70,181 @@ constexpr double kTolRel = 1e-12;
 /// is numerically meaningless; the pair's plane is evaluated exactly.
 constexpr double kDegenerateSeparation2 = 1e-12;
 
+// ---------------------------------------------------------------------------
+// Assembly data movement. At N = 64 on a 1 m grid every one of the ~10k
+// cells heads a run and nearly every head is its own face, so assembly
+// moves 2016 planes x ~10k faces of signature bytes three times: into
+// the packed keys, into the SoA table and into the per-face signatures.
+// The kernels below do each pass on whole words inside cache-sized
+// blocks, and the stages fan the blocks out over the builder's pool.
+// Every block writes bytes no other block touches, so the products are
+// the same at any thread count.
+// ---------------------------------------------------------------------------
+
+/// A plane value in {-1, 0, 1} is one base-3 digit and 40 digits fit a
+/// 64-bit word (3^40 < 2^64).
+constexpr std::size_t kTritsPerWord = 40;
+
+/// Run heads packed per task: 8 KiB of key accumulators per word.
+constexpr std::size_t kHeadBlock = 1024;
+
+/// Faces per signature-transpose task: one cache line of every table row.
+constexpr std::size_t kFaceBlock = 64;
+
+/// Least bytes a stage must move before helpers are worth waking: a
+/// quarter MiB is tens of microseconds of work on one core, well above a
+/// wake-up. The n = 10 Table 1 roster on its 2 m grid stays below it on
+/// every stage, so those builds never touch the pool.
+constexpr std::size_t kFanOutBytes = std::size_t{1} << 18;
+
+/// fn(b) for every block b in [0, blocks): over `pool` when the stage
+/// moves at least kFanOutBytes across two or more blocks, inline on the
+/// calling thread otherwise.
+void for_each_block(std::size_t blocks, std::size_t bytes, ThreadPool& pool,
+                    const std::function<void(std::size_t)>& fn) {
+  if (blocks < 2 || bytes < kFanOutBytes) {
+    for (std::size_t b = 0; b < blocks; ++b) fn(b);
+    return;
+  }
+  parallel_for(0, blocks, fn, pool);
+}
+
+/// Trit digit of a plane value: -1/0/+1 -> 0/1/2.
+inline std::uint64_t trit(SigValue v) {
+  return static_cast<std::uint64_t>(static_cast<int>(v) + 1);
+}
+
+/// The four trits of a, b, c, d as one base-81 digit in [0, 80]. Summing
+/// in int and widening once per four planes keeps the vectorized fold at
+/// one 64-bit multiply-add per head.
+inline std::uint64_t trits4(SigValue a, SigValue b, SigValue c, SigValue d) {
+  return static_cast<std::uint32_t>(27 * a + 9 * b + 3 * c + d + 40);
+}
+
+/// k[i] = 81 k[i] + trits4(...) over n heads: four Horner steps in one
+/// pass. `src` holds the four planes; `cells` the heads' cells, or null
+/// when the heads are the consecutive cells first, first + 1, ...
+void fold4(std::uint64_t* __restrict k, const SigValue* const* src,
+           const std::uint32_t* __restrict cells, std::uint32_t first, std::size_t n) {
+  if (cells == nullptr) {
+    const SigValue* __restrict a = src[0] + first;
+    const SigValue* __restrict b = src[1] + first;
+    const SigValue* __restrict c = src[2] + first;
+    const SigValue* __restrict d = src[3] + first;
+    for (std::size_t i = 0; i < n; ++i) k[i] = k[i] * 81 + trits4(a[i], b[i], c[i], d[i]);
+    return;
+  }
+  const SigValue* __restrict a = src[0];
+  const SigValue* __restrict b = src[1];
+  const SigValue* __restrict c = src[2];
+  const SigValue* __restrict d = src[3];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t x = cells[i];
+    k[i] = k[i] * 81 + trits4(a[x], b[x], c[x], d[x]);
+  }
+}
+
+/// k[i] = 3 k[i] + trit: the single-plane Horner step for the planes past
+/// the last multiple of four in a word.
+void fold1(std::uint64_t* __restrict k, const SigValue* __restrict plane,
+           const std::uint32_t* __restrict cells, std::uint32_t first, std::size_t n) {
+  if (cells == nullptr) {
+    plane += first;
+    for (std::size_t i = 0; i < n; ++i) k[i] = k[i] * 3 + trit(plane[i]);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) k[i] = k[i] * 3 + trit(plane[cells[i]]);
+}
+
+/// Trit-pack heads [h0, h1) word-major: word w of head h is
+/// keys[w * nheads + h], the base-3 Horner value of planes
+/// [40w, min(dim, 40w + 40)) in plane order. Heads are strictly
+/// increasing cells, so when the block spans exactly h1 - h0 cells each
+/// plane is read as one contiguous byte run.
+void pack_heads(const SigValue* const* planes, std::size_t dim, const std::uint32_t* heads,
+                std::size_t nheads, std::size_t h0, std::size_t h1, std::uint64_t* keys) {
+  const std::size_t n = h1 - h0;
+  const std::uint32_t first = heads[h0];
+  const std::uint32_t* cells =
+      heads[h1 - 1] - first == n - 1 ? nullptr : heads + h0;
+  for (std::size_t p0 = 0, w = 0; p0 < dim; p0 += kTritsPerWord, ++w) {
+    std::uint64_t* k = keys + w * nheads + h0;
+    std::fill(k, k + n, std::uint64_t{0});
+    const std::size_t p1 = std::min(dim, p0 + kTritsPerWord);
+    std::size_t p = p0;
+    for (; p + 4 <= p1; p += 4) fold4(k, planes + p, cells, first, n);
+    for (; p < p1; ++p) fold1(k, planes[p], cells, first, n);
+  }
+}
+
+/// One SoA table row: row[f] = plane[rep[f]] for every face, then zero
+/// padding up to `padded`. rep is strictly increasing, so a 64-face block
+/// whose cells span exactly 64 is one contiguous copy.
+void emit_row(const SigValue* __restrict plane, const std::uint32_t* __restrict rep,
+              std::size_t faces, std::size_t padded, SigValue* __restrict row) {
+  std::size_t f = 0;
+  for (; f + kFaceBlock <= faces; f += kFaceBlock) {
+    if (rep[f + kFaceBlock - 1] - rep[f] == kFaceBlock - 1) {
+      std::memcpy(row + f, plane + rep[f], kFaceBlock);
+    } else {
+      for (std::size_t i = f; i < f + kFaceBlock; ++i) row[i] = plane[rep[i]];
+    }
+  }
+  for (; f < faces; ++f) row[f] = plane[rep[f]];
+  std::fill(row + faces, row + padded, SigValue{0});
+}
+
+/// In-register transpose of an 8 x 8 byte tile: on return byte r of t[c]
+/// is what byte c of t[r] was. Three rounds swap 4-, 2- and 1-byte
+/// sub-blocks across rows 4, 2 and 1 apart.
+inline void transpose8x8(std::uint64_t t[8]) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint64_t a = t[i];
+    const std::uint64_t b = t[i + 4];
+    t[i] = (a & 0x00000000FFFFFFFFULL) | (b << 32);
+    t[i + 4] = (a >> 32) | (b & 0xFFFFFFFF00000000ULL);
+  }
+  for (std::size_t i : {0u, 1u, 4u, 5u}) {
+    const std::uint64_t a = t[i];
+    const std::uint64_t b = t[i + 2];
+    t[i] = (a & 0x0000FFFF0000FFFFULL) | ((b & 0x0000FFFF0000FFFFULL) << 16);
+    t[i + 2] = ((a >> 16) & 0x0000FFFF0000FFFFULL) | (b & 0xFFFF0000FFFF0000ULL);
+  }
+  for (std::size_t i = 0; i < 8; i += 2) {
+    const std::uint64_t a = t[i];
+    const std::uint64_t b = t[i + 1];
+    t[i] = (a & 0x00FF00FF00FF00FFULL) | ((b & 0x00FF00FF00FF00FFULL) << 8);
+    t[i + 1] = ((a >> 8) & 0x00FF00FF00FF00FFULL) | (b & 0xFF00FF00FF00FF00ULL);
+  }
+}
+
+/// Per-face signatures of faces [f0, f1) off the finished table:
+/// sig[f][p] = table[p * padded + f]. Full 8-plane x 8-face tiles go
+/// through transpose8x8 (eight word loads, eight word stores); the
+/// trailing faces and planes of the block are copied byte by byte.
+void emit_signatures(const SigValue* __restrict table, std::size_t dim, std::size_t padded,
+                     std::size_t f0, std::size_t f1, Face* faces) {
+  const std::size_t tiled_faces = f0 + (f1 - f0) / 8 * 8;
+  const std::size_t tiled_planes = dim / 8 * 8;
+  for (std::size_t p = 0; p < tiled_planes; p += 8) {
+    const SigValue* rows = table + p * padded;
+    for (std::size_t f = f0; f < tiled_faces; f += 8) {
+      std::uint64_t t[8];
+      for (std::size_t r = 0; r < 8; ++r) std::memcpy(&t[r], rows + r * padded + f, 8);
+      transpose8x8(t);
+      for (std::size_t c = 0; c < 8; ++c)
+        std::memcpy(faces[f + c].signature.data() + p, &t[c], 8);
+    }
+  }
+  for (std::size_t f = f0; f < f1; ++f) {
+    SigValue* sig = faces[f].signature.data();
+    const std::size_t p_from = f < tiled_faces ? tiled_planes : 0;
+    for (std::size_t p = p_from; p < dim; ++p) sig[p] = table[p * padded + f];
+  }
+}
+
 }  // namespace
 
-// May land outside [0, cols); the result is clamped to a small guard
 // The reciprocal multiply lands within one column of the true answer;
 // the correction loops then settle it *exactly* against the cached cell
 // centers (the very values the exact evaluator compares against), so
@@ -555,37 +728,23 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   }
   const std::size_t nheads = heads.size();
 
-  // Trit-pack each head's signature: a plane value in {-1, 0, 1} is one
-  // base-3 digit and 40 digits fit a 64-bit word (3^40 < 2^64), so a
-  // signature packs into ceil(dim / 40) words and two heads have equal
-  // packed words iff their signatures are equal — the packing is
-  // injective. Where two consecutive planes share a word the sweep folds
-  // both in one pass (k = 9k + 3a + b), halving the gather loop count.
-  constexpr std::size_t kTritsPerWord = 40;
+  // Trit-pack each head's signature into ceil(dim / 40) base-3 words: two
+  // heads have equal packed words iff their signatures are equal — the
+  // packing is injective. Keys are word-major (keys[w * nheads + h]) so
+  // each block of heads accumulates into contiguous words.
   const std::size_t kw = (dim + kTritsPerWord - 1) / kTritsPerWord;
   std::vector<std::uint64_t>& keys = scratch_.keys;
-  keys.assign(nheads * kw, 0);
-  for (std::size_t p = 0; p < dim;) {
-    std::uint64_t* word = keys.data() + p / kTritsPerWord;
-    if (p + 1 < dim && (p + 1) / kTritsPerWord == p / kTritsPerWord) {
-      const SigValue* pa = planes[p];
-      const SigValue* pb = planes[p + 1];
-      for (std::size_t h = 0; h < nheads; ++h) {
-        const std::uint32_t c = heads[h];
-        std::uint64_t& k = word[h * kw];
-        k = k * 9 + static_cast<std::uint64_t>(3 * (static_cast<int>(pa[c]) + 1) +
-                                               (static_cast<int>(pb[c]) + 1));
-      }
-      p += 2;
-    } else {
-      const SigValue* pa = planes[p];
-      for (std::size_t h = 0; h < nheads; ++h) {
-        const std::uint32_t c = heads[h];
-        std::uint64_t& k = word[h * kw];
-        k = k * 3 + static_cast<std::uint64_t>(static_cast<int>(pa[c]) + 1);
-      }
-      ++p;
-    }
+  keys.resize(nheads * kw);  // every word is written by pack_heads
+  {
+    FTTT_OBS_SPAN("facemap.assemble.pack");
+    const SigValue* const* plane_ptrs = planes.data();
+    const std::uint32_t* head_cells = heads.data();
+    std::uint64_t* key_words = keys.data();
+    for_each_block((nheads + kHeadBlock - 1) / kHeadBlock, nheads * dim, *pool_,
+                   [&](std::size_t b) {
+                     pack_heads(plane_ptrs, dim, head_cells, nheads, b * kHeadBlock,
+                                std::min(nheads, (b + 1) * kHeadBlock), key_words);
+                   });
   }
 
   // Group the heads by packed signature with ids in first-occurrence
@@ -594,42 +753,47 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   // assignment exactly. Open addressing; the hash only routes to a
   // bucket — equality is always decided by comparing the full packed
   // words, so grouping stays exact whatever the hash does.
-  constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
-  std::size_t cap = 64;
-  while (cap < 2 * nheads) cap <<= 1;
-  const std::size_t cap_mask = cap - 1;
-  std::vector<std::uint32_t>& bucket_head = scratch_.bucket_head;
-  bucket_head.assign(cap, kEmpty);  // head index claiming it
-  std::vector<std::uint32_t>& bucket_id = scratch_.bucket_id;
-  bucket_id.resize(cap);  // read only after its bucket_head is claimed
   std::vector<std::uint32_t>& group = scratch_.group;
   group.resize(nheads);
   std::vector<std::uint32_t>& rep = scratch_.rep;  // representative (first) cell per face
   rep.clear();
   rep.reserve(nheads / 2 + 1);
-  for (std::size_t h = 0; h < nheads; ++h) {
-    const std::uint64_t* k = keys.data() + h * kw;
-    std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-    for (std::size_t w = 0; w < kw; ++w) {
-      x ^= k[w];
-      x *= 0xFF51AFD7ED558CCDULL;
-      x ^= x >> 33;
-    }
-    std::size_t idx = static_cast<std::size_t>(x) & cap_mask;
-    for (;;) {
-      const std::uint32_t occupant = bucket_head[idx];
-      if (occupant == kEmpty) {
-        bucket_head[idx] = static_cast<std::uint32_t>(h);
-        bucket_id[idx] = static_cast<std::uint32_t>(rep.size());
-        group[h] = bucket_id[idx];
-        rep.push_back(heads[h]);
-        break;
+  {
+    FTTT_OBS_SPAN("facemap.assemble.group");
+    constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+    std::size_t cap = 64;
+    while (cap < 2 * nheads) cap <<= 1;
+    const std::size_t cap_mask = cap - 1;
+    std::vector<std::uint32_t>& bucket_head = scratch_.bucket_head;
+    bucket_head.assign(cap, kEmpty);  // head index claiming it
+    std::vector<std::uint32_t>& bucket_id = scratch_.bucket_id;
+    bucket_id.resize(cap);  // read only after its bucket_head is claimed
+    const std::uint64_t* key_words = keys.data();
+    for (std::size_t h = 0; h < nheads; ++h) {
+      std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+      for (std::size_t w = 0; w < kw; ++w) {
+        x ^= key_words[w * nheads + h];
+        x *= 0xFF51AFD7ED558CCDULL;
+        x ^= x >> 33;
       }
-      if (std::equal(k, k + kw, keys.data() + occupant * kw)) {
-        group[h] = bucket_id[idx];
-        break;
+      std::size_t idx = static_cast<std::size_t>(x) & cap_mask;
+      for (;;) {
+        const std::uint32_t occupant = bucket_head[idx];
+        if (occupant == kEmpty) {
+          bucket_head[idx] = static_cast<std::uint32_t>(h);
+          bucket_id[idx] = static_cast<std::uint32_t>(rep.size());
+          group[h] = bucket_id[idx];
+          rep.push_back(heads[h]);
+          break;
+        }
+        std::size_t w = 0;
+        while (w < kw && key_words[w * nheads + h] == key_words[w * nheads + occupant]) ++w;
+        if (w == kw) {
+          group[h] = bucket_id[idx];
+          break;
+        }
+        idx = (idx + 1) & cap_mask;
       }
-      idx = (idx + 1) & cap_mask;
     }
   }
   const std::size_t faces = rep.size();
@@ -690,35 +854,44 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
       }
   }
 
-  // Size the face array first (recycled Face objects keep their
-  // signature vectors' heap blocks across the resize), then emit the SoA
-  // table plane-major straight from the planes (gathers at the
-  // representative cells, sequential stores per row).
-  out.faces_.resize(faces);
-  for (std::size_t f = 0; f < faces; ++f) {
-    Face& face = out.faces_[f];
-    face.id = static_cast<FaceId>(f);
-    face.signature.resize(dim);
-    face.centroid = centroid_sum[f] / static_cast<double>(cell_count[f]);
-    face.cell_count = cell_count[f];
-  }
+  // SoA table, plane-major straight from the planes: one task per row
+  // gathers the representative cells and zeroes its own padding, so a
+  // recycled table needs no separate clearing pass.
   const std::size_t padded_faces = SignatureTable::padded_for(faces);
   std::vector<SigValue> table = std::move(table_storage_);
-  table.assign(dim * padded_faces, 0);
-  for (std::size_t p = 0; p < dim; ++p) {
-    const SigValue* plane = planes[p];
-    SigValue* row = table.data() + p * padded_faces;
-    for (std::size_t f = 0; f < faces; ++f) row[f] = plane[rep[f]];
+  {
+    FTTT_OBS_SPAN("facemap.assemble.emit_table");
+    table.resize(dim * padded_faces);
+    const SigValue* const* plane_ptrs = planes.data();
+    const std::uint32_t* rep_cells = rep.data();
+    SigValue* table_rows = table.data();
+    for_each_block(dim, dim * padded_faces, *pool_, [&](std::size_t p) {
+      emit_row(plane_ptrs[p], rep_cells, faces, padded_faces, table_rows + p * padded_faces);
+    });
   }
-  // Per-face AoS signatures come off the finished table face-major: the
-  // strided column reads stay inside one table-sized block while every
-  // write lands sequentially in the face's own vector — unlike the old
-  // fused emission, which scattered single-byte writes across all the
-  // faces' separately allocated signatures once per plane.
-  for (std::size_t f = 0; f < faces; ++f) {
-    SigValue* sig = out.faces_[f].signature.data();
-    const SigValue* column = table.data() + f;
-    for (std::size_t p = 0; p < dim; ++p) sig[p] = column[p * padded_faces];
+
+  // Per-face AoS signatures come off the finished table face-major in
+  // 8 x 8 byte tiles. The face array is sized on this thread: recycled
+  // Face objects keep their signature blocks across the resize, and
+  // fresh ones allocate here rather than in pool tasks (no per-thread
+  // malloc arenas, and no bad_alloc inside a parallel_for body).
+  {
+    FTTT_OBS_SPAN("facemap.assemble.emit_faces");
+    out.faces_.resize(faces);
+    for (std::size_t f = 0; f < faces; ++f) {
+      Face& face = out.faces_[f];
+      face.id = static_cast<FaceId>(f);
+      face.signature.resize(dim);
+      face.centroid = centroid_sum[f] / static_cast<double>(cell_count[f]);
+      face.cell_count = cell_count[f];
+    }
+    const SigValue* table_rows = table.data();
+    Face* face_ptr = out.faces_.data();
+    for_each_block((faces + kFaceBlock - 1) / kFaceBlock, dim * faces, *pool_,
+                   [&](std::size_t b) {
+                     emit_signatures(table_rows, dim, padded_faces, b * kFaceBlock,
+                                     std::min(faces, (b + 1) * kFaceBlock), face_ptr);
+                   });
   }
 
   out.grid_ = grid_;

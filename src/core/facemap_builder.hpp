@@ -38,9 +38,15 @@
 // Incremental rebuild: the builder caches one plane per roster pair.
 // When a deployment delta arrives — node failed or recovered
 // (net/faults.hpp semantics), added, or moved — only planes involving
-// changed nodes are re-rasterized (none at all for fail/recover, whose
-// planes stay cached) and grouping/adjacency is re-derived: an
-// O(cells * n) update instead of the O(cells * n^2) wholesale rebuild.
+// changed nodes are re-rasterized (n - 1 for a moved node, none at all
+// for fail/recover, whose planes stay cached). Grouping, adjacency and
+// emission are always re-derived from the cached planes: O(heads * n^2)
+// bytes packed plus O(faces * n^2) bytes written twice (SoA table and
+// per-face signatures), with no distance math. That re-derivation is
+// the whole cost of a fail/recover rebuild. At N = 64 on a 1 m grid
+// nearly every cell is its own face, so it moves as many signature
+// bytes as a cold build; the three byte-moving passes fan out over the
+// builder's pool.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +70,8 @@ class FaceMapBuilder {
  public:
   /// Prepare a builder for `roster` (dense ids 0..n-1, all initially
   /// active) with ratio constant `C >= 1` over `field` cells of side
-  /// `cell_size`. Validation matches FaceMap::build; rasterization and
-  /// grouping fan out over `pool`.
+  /// `cell_size`. Validation matches FaceMap::build; rasterization, head
+  /// packing and emission fan out over `pool` (grouping is serial).
   FaceMapBuilder(Deployment roster, double C, const Aabb& field, double cell_size,
                  ThreadPool& pool = ThreadPool::global());
 

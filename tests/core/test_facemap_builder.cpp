@@ -10,6 +10,7 @@
 #include "common/check.hpp"
 #include "common/random.hpp"
 #include "core/batch_matcher.hpp"
+#include "core/division.hpp"
 #include "core/pairs.hpp"
 #include "core/signature_table.hpp"
 #include "net/deployment.hpp"
@@ -266,6 +267,127 @@ TEST(FaceMapBuilder, BuildIntoBitIdenticalAcrossRosterResets) {
       EXPECT_EQ(products.table.get(), first_table);
     }
   }
+}
+
+void expect_table_matches(const SignatureTable& got, const FaceMap& map) {
+  const SignatureTable want(map);
+  ASSERT_EQ(got.face_count(), want.face_count());
+  ASSERT_EQ(got.dimension(), want.dimension());
+  ASSERT_EQ(got.padded_faces(), want.padded_faces());
+  for (std::size_t p = 0; p < want.dimension(); ++p)
+    for (std::size_t f = 0; f < want.padded_faces(); ++f)
+      ASSERT_EQ(got.plane(p)[f], want.plane(p)[f]) << "plane " << p << " col " << f;
+}
+
+/// What a fixture exercises in the assembly kernels, read off the legacy
+/// map: a cell heads a run iff it starts a row or its face differs from
+/// its left neighbor's, and the packing stage works in blocks of 1024
+/// heads that read planes contiguously when the block's heads are
+/// consecutive cells.
+struct KernelEdges {
+  bool multi_block = false;       ///< more than one 1024-head block
+  bool contiguous_block = false;  ///< some block's heads are consecutive cells
+  bool gapped_block = false;      ///< some block skips a run interior
+  bool ragged_faces = false;      ///< face count not a multiple of 8 (nor 64)
+};
+
+KernelEdges kernel_edges(const FaceMap& map) {
+  constexpr std::size_t kHeadBlock = 1024;
+  const UniformGrid& grid = map.grid();
+  const std::size_t cols = static_cast<std::size_t>(grid.cols());
+  std::vector<std::size_t> heads;
+  for (std::size_t c = 0; c < grid.cell_count(); ++c)
+    if (c % cols == 0 || map.face_of_cell(c) != map.face_of_cell(c - 1)) heads.push_back(c);
+  KernelEdges e;
+  e.multi_block = heads.size() > kHeadBlock;
+  for (std::size_t h0 = 0; h0 < heads.size(); h0 += kHeadBlock) {
+    const std::size_t h1 = std::min(heads.size(), h0 + kHeadBlock);
+    if (heads[h1 - 1] - heads[h0] == h1 - 1 - h0) e.contiguous_block = true;
+    else e.gapped_block = true;
+  }
+  e.ragged_faces = map.face_count() % 8 != 0;
+  return e;
+}
+
+TEST(FaceMapBuilder, AssemblyKernelEdgesBitIdenticalAtAnyPoolSize) {
+  // The other fixtures here stop at n = 8 (dim 28): one key word, dim a
+  // multiple of 4, one head block. n = 9/10/13/16 gives dim 36/45/78/120
+  // — multi-word keys, partial last words and 8-plane tile tails — and
+  // the fine grid spreads heads over several gapped blocks while the
+  // coarse grid makes every cell a head. Every entry point must match
+  // the legacy build through a fail/revive sequence on 1 and 4 threads.
+  struct Grid {
+    const char* name;
+    double cell;
+  };
+  const Grid grids[] = {{"fine", 0.25}, {"coarse", 2.0}};
+  KernelEdges seen;
+  bool ragged_dim = false;
+  ThreadPool solo(1);
+  ThreadPool quad(4);
+  for (const Grid& g : grids) {
+    for (std::size_t n : {9u, 10u, 13u, 16u}) {
+      ragged_dim = ragged_dim || pair_count(n) % 8 != 0;
+      for (double C : {1.0, 2.0, 4.0}) {
+        RngStream rng = RngStream(4242).substream(n, static_cast<std::uint64_t>(C));
+        const Deployment nodes = random_deployment(kField, n, rng);
+        // Fail two nodes, then revive them: four rebuilds from the cache.
+        const NodeId a = static_cast<NodeId>(rng.uniform_index(n));
+        const NodeId b = static_cast<NodeId>((a + 1 + rng.uniform_index(n - 1)) % n);
+        const std::pair<NodeId, bool> steps[] = {{a, false}, {b, false}, {a, true}, {b, true}};
+        std::vector<FaceMap> want;
+        {
+          FaceMapBuilder spec(nodes, C, kField, g.cell, solo);
+          want.push_back(FaceMap::build(nodes, C, kField, g.cell, solo));
+          for (const auto& [id, up] : steps) {
+            if (up) spec.activate(id);
+            else spec.deactivate(id);
+            want.push_back(FaceMap::build(spec.active_deployment(), C, kField, g.cell, solo));
+          }
+        }
+        const KernelEdges e = kernel_edges(want.front());
+        seen.multi_block = seen.multi_block || e.multi_block;
+        seen.contiguous_block = seen.contiguous_block || e.contiguous_block;
+        seen.gapped_block = seen.gapped_block || e.gapped_block;
+        seen.ragged_faces = seen.ragged_faces || e.ragged_faces;
+
+        for (ThreadPool* pool : {&solo, &quad}) {
+          FaceMapBuilder plain(nodes, C, kField, g.cell, *pool);
+          FaceMapBuilder into(nodes, C, kField, g.cell, *pool);
+          FaceMapBuilder division(nodes, C, kField, g.cell, *pool);
+          FaceMapBuilder::BuildProducts products;
+          Division served;
+          for (std::size_t s = 0; s < want.size(); ++s) {
+            if (s > 0) {
+              const auto& [id, up] = steps[s - 1];
+              for (FaceMapBuilder* bld : {&plain, &into, &division}) {
+                if (up) bld->activate(id);
+                else bld->deactivate(id);
+              }
+            }
+            SCOPED_TRACE(testing::Message() << g.name << " n=" << n << " C=" << C << " threads="
+                                            << pool->thread_count() << " step " << s);
+            const FaceMap got = plain.build();
+            expect_identical(got, want[s]);
+            expect_table_matches(plain.take_signature_table(), want[s]);
+            into.build_into(products);
+            expect_identical(*products.map, want[s]);
+            expect_table_matches(*products.table, want[s]);
+            served = division.build_division(true, s > 0 ? &served : nullptr);
+            expect_identical(*served.map, want[s]);
+            expect_table_matches(*served.table, want[s]);
+            if (s > 0) EXPECT_EQ(division.last_planes_rasterized(), 0u);
+          }
+        }
+      }
+    }
+  }
+  // The fixtures must actually reach every kernel edge they exist for.
+  EXPECT_TRUE(seen.multi_block);
+  EXPECT_TRUE(seen.contiguous_block);
+  EXPECT_TRUE(seen.gapped_block);
+  EXPECT_TRUE(seen.ragged_faces);
+  EXPECT_TRUE(ragged_dim);
 }
 
 TEST(FaceMapBuilder, BuildIntoRefusesRetainedAliases) {

@@ -1,7 +1,9 @@
-// Concurrency coverage of the plane-major face-map engine: the
-// rasterization fan-out, the chunked hash pass and the verify/emit pass
-// all run on the shared pool, so a data race would surface here under
-// TSan (the tsan preset runs the tests_parallel label).
+// Concurrency coverage of the plane-major face-map engine: plane
+// rasterization and the three assembly passes (trit-packing the run
+// heads, emitting the SoA table rows, transposing the per-face
+// signatures) all fan out over the builder's pool, so a data race would
+// surface here under TSan (the tsan preset runs the tests_parallel
+// label).
 #include "core/facemap_builder.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/signature_table.hpp"
 #include "net/deployment.hpp"
 
 namespace fttt {
@@ -40,6 +43,39 @@ TEST(FaceMapBuilderParallel, BitReproducibleAtAnyThreadCount) {
     FaceMapBuilder builder(nodes, 4.0, kField, kCell, pool);
     SCOPED_TRACE(testing::Message() << threads << " threads");
     expect_same(builder.build(), want);
+  }
+}
+
+TEST(FaceMapBuilderParallel, AssemblyFanOutsBitReproducibleAtAnyThreadCount) {
+  // n = 16 on a 0.25 m grid: 120 planes (three key words) and several
+  // thousand run heads, so the pack, table and signature passes each
+  // split into many blocks and every one of them runs on the pool. A
+  // fail/revive rebuild and a build_into race the same fan-outs.
+  RngStream rng(4243);
+  const Deployment nodes = random_deployment(kField, 16, rng);
+  constexpr double kFine = 0.25;
+  constexpr NodeId kVictim = 5;
+  ThreadPool solo(1);
+  FaceMapBuilder reference(nodes, 2.0, kField, kFine, solo);
+  const FaceMap full = reference.build();
+  reference.deactivate(kVictim);
+  const FaceMap degraded = reference.build();
+  for (std::size_t threads : {2u, 5u, 8u}) {
+    ThreadPool pool(threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    FaceMapBuilder builder(nodes, 2.0, kField, kFine, pool);
+    expect_same(builder.build(), full);
+    builder.deactivate(kVictim);
+    expect_same(builder.build(), degraded);
+    builder.activate(kVictim);
+    FaceMapBuilder::BuildProducts products;
+    builder.build_into(products);
+    expect_same(*products.map, full);
+    const SignatureTable want(full);
+    ASSERT_EQ(products.table->padded_faces(), want.padded_faces());
+    for (std::size_t p = 0; p < want.dimension(); ++p)
+      for (std::size_t f = 0; f < want.padded_faces(); ++f)
+        ASSERT_EQ(products.table->plane(p)[f], want.plane(p)[f]) << "plane " << p << " col " << f;
   }
 }
 
