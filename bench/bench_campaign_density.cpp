@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace fttt;
   const bench::Options opt = bench::parse_options(argc, argv);
-  bench::BenchPool pool(opt);
+  bench::BenchPool pool(opt.threads);
 
   print_banner(std::cout, "MSE vs density (campaign engine, random deployments)");
 

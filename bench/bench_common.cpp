@@ -1,11 +1,30 @@
 #include "bench_common.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <string_view>
+#include <system_error>
 
 namespace fttt::bench {
 
+void usage_exit(const char* argv0, const char* flags) {
+  std::cerr << "usage: " << argv0 << " " << flags << "\n";
+  std::exit(2);
+}
+
+std::size_t count_value(int argc, char** argv, int& i, std::size_t min,
+                        const char* flags) {
+  if (i + 1 >= argc) usage_exit(argv[0], flags);
+  const std::string_view text = argv[++i];
+  std::size_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size() || value < min)
+    usage_exit(argv[0], flags);
+  return value;
+}
+
 Options parse_options(int argc, char** argv) {
+  constexpr const char* kFlags = "[--fast] [--trials N>=1] [--threads N] [--csv out.csv]";
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -13,16 +32,14 @@ Options parse_options(int argc, char** argv) {
       opt.fast = true;
       opt.trials = 3;
       opt.duration = 10.0;
-    } else if (arg == "--trials" && i + 1 < argc) {
-      opt.trials = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    } else if (arg == "--trials") {
+      opt.trials = count_value(argc, argv, i, 1, kFlags);
+    } else if (arg == "--threads") {
+      opt.threads = count_value(argc, argv, i, 0, kFlags);
     } else if (arg == "--csv" && i + 1 < argc) {
       opt.csv_path = argv[++i];
     } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--fast] [--trials N] [--threads N] [--csv out.csv]\n";
-      std::exit(2);
+      usage_exit(argv[0], kFlags);
     }
   }
   return opt;
@@ -40,8 +57,8 @@ ScenarioConfig default_scenario(const Options& opt) {
   return cfg;
 }
 
-BenchPool::BenchPool(const Options& opt) {
-  if (opt.threads > 0) owned_ = std::make_unique<ThreadPool>(opt.threads);
+BenchPool::BenchPool(std::size_t threads) {
+  if (threads > 0) owned_ = std::make_unique<ThreadPool>(threads);
 }
 
 void print_scenario(std::ostream& os, const ScenarioConfig& cfg) {

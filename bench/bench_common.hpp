@@ -30,8 +30,17 @@ struct Options {
   std::optional<std::string> csv_path;
 };
 
-/// Parse the common flags; unknown flags abort with usage text.
+/// Parse the common flags; an unknown flag, a missing or non-numeric
+/// value, or `--trials 0` prints usage text and exits 2.
 Options parse_options(int argc, char** argv);
+
+/// Print `usage: argv0 flags` and exit 2.
+[[noreturn]] void usage_exit(const char* argv0, const char* flags);
+
+/// The decimal count after flag `argv[i]` (advancing `i`); a missing,
+/// signed or non-numeric value, or one below `min`, is a usage error.
+std::size_t count_value(int argc, char** argv, int& i, std::size_t min,
+                        const char* flags);
 
 /// Scenario with the bench-suite defaults applied (Table 1 values with a
 /// coarser 2 m preprocessing grid so sweeps finish in minutes).
@@ -43,7 +52,7 @@ ScenarioConfig default_scenario(const Options& opt);
 /// points carry the parallelism they were measured at.
 class BenchPool {
  public:
-  explicit BenchPool(const Options& opt);
+  explicit BenchPool(std::size_t threads);
   ThreadPool& pool() { return owned_ ? *owned_ : ThreadPool::global(); }
 
  private:

@@ -7,8 +7,7 @@
 // file against bench/baselines/BENCH_pipeline.json and gates CI on
 // regressions; docs/perf.md has the procedure.
 //
-//   bench_perf_pipeline [--fast] [--json PATH] [--trials N] [--repeats R]
-//                       [--threads N]
+//   bench_perf_pipeline [--fast] [--json PATH] [--threads N]
 //
 // Before timing, the pipelined trajectory is checked bit-identical to
 // the serial runner for every method, and a full cached sweep must
@@ -19,21 +18,16 @@
 // measures is purely algorithmic — the cross-trial face-map cache, the
 // one-pass SoA Direct-MLE match, PM's batched per-face scans and the
 // shared one-shot vector — so it holds on a single-core CI runner. The
-// _mt row adds precompute parallelism and is informational only (no
-// baseline speedup, so perfcmp skips it). Deployment is the grid
+// _mt row runs on the selected pool, adds precompute parallelism and is
+// informational only (no baseline speedup, so perfcmp skips it). Deployment is the grid
 // pattern: it is trial-invariant, which is exactly the fixed-deployment
 // sweep shape the cache exists for (random deployments re-key per
 // trial and pay one build each, like the serial path).
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/facemap_cache.hpp"
+#include "perf_harness.hpp"
 #include "sim/epoch_pipeline.hpp"
 #include "sim/runner.hpp"
 
@@ -41,68 +35,7 @@ namespace {
 
 using namespace fttt;
 
-struct Options {
-  bool fast = false;
-  std::string json_path = "BENCH_pipeline.json";
-  std::size_t trials = 10;  ///< runs per timed sweep (Table 1 shape)
-  std::size_t repeats = 5;  ///< timed passes; best (min) wins
-  std::size_t threads = 0;  ///< _mt row pool; 0 = shared global pool
-};
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--fast") {
-      opt.fast = true;
-      opt.trials = 3;
-      opt.repeats = 3;
-    } else if (arg == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (arg == "--trials" && i + 1 < argc) {
-      opt.trials = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--repeats" && i + 1 < argc) {
-      opt.repeats = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--fast] [--json PATH] [--trials N] [--repeats R] [--threads N]\n";
-      std::exit(2);
-    }
-  }
-  if (opt.trials == 0 || opt.repeats == 0) {
-    std::cerr << "bench_perf_pipeline: --trials/--repeats must be >= 1\n";
-    std::exit(2);
-  }
-  return opt;
-}
-
-/// Best-of-R wall time of `fn` in seconds.
-template <typename Fn>
-double time_best(std::size_t repeats, Fn&& fn) {
-  double best = 1e300;
-  for (std::size_t r = 0; r < repeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-struct Row {
-  std::string name;
-  std::size_t batch;
-  double ns_per_run;
-  double throughput_per_s;
-  double speedup_vs_serial;  ///< < 0 means "not applicable" (the baseline row)
-};
-
-void fail(const std::string& message) {
-  std::cerr << "bench_perf_pipeline: " << message << "\n";
-  std::exit(1);
-}
+using bench::fail;
 
 /// Bit-equivalence check (the executable-spec contract the unit suite
 /// enforces in depth; re-verified here so timing never blesses a wrong
@@ -124,14 +57,15 @@ void expect_identical(const TrackingResult& serial, const TrackingResult& piped,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  bench::PerfBench bench("pipeline", "run", argc, argv);
+  const std::size_t trials = bench.fast() ? 3 : 10;  // runs per timed sweep
 
   // Table 1 sweep shape: 100 x 100 m^2, n = 10, beta = 4, sigma_X = 6,
   // eps = 1 dBm, bounded channel, 2 m preprocessing grid (the bench-suite
   // default), all four methods, grid deployment (trial-invariant — the
   // fixed-deployment sweep the cache amortizes).
   ScenarioConfig cfg;
-  cfg.duration = opt.fast ? 10.0 : 30.0;
+  cfg.duration = bench.fast() ? 10.0 : 30.0;
   cfg.grid_cell = 2.0;
   cfg.channel = Channel::kBounded;
   cfg.deployment = DeploymentKind::kGrid;
@@ -139,15 +73,7 @@ int main(int argc, char** argv) {
                                     Method::kPathMatching, Method::kDirectMle};
 
   ThreadPool single(1);
-  ThreadPool* mt_pool_ptr = nullptr;
-  std::unique_ptr<ThreadPool> owned_mt;
-  if (opt.threads > 0) {
-    owned_mt = std::make_unique<ThreadPool>(opt.threads);
-    mt_pool_ptr = owned_mt.get();
-  } else {
-    mt_pool_ptr = &ThreadPool::global();
-  }
-  ThreadPool& mt_pool = *mt_pool_ptr;
+  ThreadPool& mt_pool = bench.pool();
 
   // Correctness gate before any timing: every trial of the sweep must be
   // bit-identical serial vs pipelined (with and without the cache), and
@@ -155,7 +81,7 @@ int main(int argc, char** argv) {
   // total here (the C-uncertainty map and the C = 1 bisector map).
   {
     FaceMapCache cache;
-    for (std::uint64_t t = 0; t < opt.trials; ++t) {
+    for (std::uint64_t t = 0; t < trials; ++t) {
       const TrackingResult serial = run_tracking(cfg, methods, t, single);
       expect_identical(serial, run_tracking_pipelined(cfg, methods, t, single),
                        "uncached trial " + std::to_string(t));
@@ -168,90 +94,47 @@ int main(int argc, char** argv) {
            " maps; expected 1 per unique key (2)");
   }
 
-  std::vector<Row> rows;
-  const double runs = static_cast<double>(opt.trials);
+  // Variants: the serial reference (the executable spec, one epoch at a
+  // time, fresh face maps every trial), then the pipeline on one thread
+  // (the gated algorithmic win) and on the selected pool (adds
+  // precompute parallelism; informational). Each pipelined sweep gets a
+  // fresh cache, so it pays both map builds once and amortizes them over
+  // the trials, exactly like a real sweep.
   volatile double sink = 0.0;  // defeat whole-loop elision
-
-  // Serial reference: the executable spec, one epoch at a time, fresh
-  // face maps every trial.
-  const double serial_s = time_best(opt.repeats, [&] {
-    double acc = 0.0;
-    for (std::uint64_t t = 0; t < opt.trials; ++t) {
-      const TrackingResult r = run_tracking(cfg, methods, t, single);
-      acc += r.methods[0].errors.empty() ? 0.0 : r.methods[0].errors.back();
-    }
-    sink = acc;
-  }) / runs;
-  rows.push_back({"serial_full", 1, serial_s * 1e9, 1.0 / serial_s, -1.0});
-
-  // Pipelined, single thread, fresh cache per sweep: the gated
-  // algorithmic win. Each pass pays both map builds once and amortizes
-  // them over the trials, exactly like a real sweep.
-  const double pipe1_s = time_best(opt.repeats, [&] {
-    FaceMapCache cache;
-    double acc = 0.0;
-    for (std::uint64_t t = 0; t < opt.trials; ++t) {
-      const TrackingResult r = run_tracking_pipelined(cfg, methods, t, single, &cache);
-      acc += r.methods[0].errors.empty() ? 0.0 : r.methods[0].errors.back();
-    }
-    sink = acc;
-  }) / runs;
-  rows.push_back({"pipeline_1t", 1, pipe1_s * 1e9, 1.0 / pipe1_s, serial_s / pipe1_s});
-
-  // Pipelined on the shared/selected pool: adds precompute parallelism.
-  // Informational (machine dependent), never gated.
-  const double pipemt_s = time_best(opt.repeats, [&] {
-    FaceMapCache cache;
-    double acc = 0.0;
-    for (std::uint64_t t = 0; t < opt.trials; ++t) {
-      const TrackingResult r = run_tracking_pipelined(cfg, methods, t, mt_pool, &cache);
-      acc += r.methods[0].errors.empty() ? 0.0 : r.methods[0].errors.back();
-    }
-    sink = acc;
-  }) / runs;
-  rows.push_back(
-      {"pipeline_mt", 1, pipemt_s * 1e9, 1.0 / pipemt_s, serial_s / pipemt_s});
+  const auto sweep = [&](auto&& run) {
+    return bench::Variant{[&sink, &trials, run] {
+      FaceMapCache cache;
+      double acc = 0.0;
+      for (std::uint64_t t = 0; t < trials; ++t) {
+        const TrackingResult r = run(t, cache);
+        acc += r.methods[0].errors.empty() ? 0.0 : r.methods[0].errors.back();
+      }
+      sink = acc;
+    }};
+  };
+  const std::vector<bench::SampleStats> t = bench.time({
+      sweep([&](std::uint64_t trial, FaceMapCache&) {
+        return run_tracking(cfg, methods, trial, single);
+      }),
+      sweep([&](std::uint64_t trial, FaceMapCache& cache) {
+        return run_tracking_pipelined(cfg, methods, trial, single, &cache);
+      }),
+      sweep([&](std::uint64_t trial, FaceMapCache& cache) {
+        return run_tracking_pipelined(cfg, methods, trial, mt_pool, &cache);
+      }),
+  });
   (void)sink;
 
-  const auto epochs = static_cast<std::size_t>(cfg.duration / cfg.localization_period);
-
-  // Human-readable report.
-  std::cout << "pipeline perf (Table 1 sweep: n=" << cfg.sensor_count
-            << ", methods=" << methods.size() << ", trials=" << opt.trials
-            << ", epochs/run=" << epochs
-            << ", threads=" << mt_pool.thread_count() << ")\n";
-  for (const Row& r : rows) {
-    std::cout << "  " << r.name << ": " << r.ns_per_run / 1e6 << " ms/run, "
-              << r.throughput_per_s << " runs/s";
-    if (r.speedup_vs_serial > 0.0) std::cout << ", speedup " << r.speedup_vs_serial << "x";
-    std::cout << "\n";
-  }
-
-  // Machine-readable trajectory point. Keys mirror BENCH_matcher.json so
-  // fttt_perfcmp.py gates all three benches with one code path:
-  // "ns_per_localization" here is ns per tracking run (one trial, all
-  // methods), "speedup_vs_scalar" is speedup vs the serial runner.
-  std::ofstream json(opt.json_path);
-  if (!json) fail("cannot write " + opt.json_path);
-  json.precision(6);
-  json << "{\n"
-       << "  \"bench\": \"pipeline\",\n"
-       << "  \"scenario\": {\"sensors\": " << cfg.sensor_count
-       << ", \"methods\": " << methods.size() << ", \"trials\": " << opt.trials
-       << ", \"epochs_per_run\": " << epochs
-       << ", \"threads\": " << mt_pool.thread_count()
-       << ", \"fast\": " << (opt.fast ? "true" : "false") << "},\n"
-       << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "    {\"name\": \"" << r.name << "\", \"batch\": " << r.batch
-         << ", \"ns_per_localization\": " << r.ns_per_run
-         << ", \"throughput_per_s\": " << r.throughput_per_s
-         << ", \"threads\": " << (r.name == "pipeline_mt" ? mt_pool.thread_count() : 1);
-    if (r.speedup_vs_serial > 0.0) json << ", \"speedup_vs_scalar\": " << r.speedup_vs_serial;
-    json << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::cout << "wrote " << opt.json_path << "\n";
-  return 0;
+  const double runs = static_cast<double>(trials);
+  bench.add({"serial_full", 1, 1, t[0].per(runs)});
+  bench.add({"pipeline_1t", 1, 1, t[1].per(runs),
+             {{"speedup_vs_scalar", t[0].median / t[1].median}}});
+  bench.add({"pipeline_mt", 1, bench.threads(), t[2].per(runs),
+             {{"speedup_vs_scalar", t[0].median / t[2].median}}});
+  return bench.finish(
+      {{"sensors", static_cast<double>(cfg.sensor_count)},
+       {"methods", static_cast<double>(methods.size())},
+       {"trials", runs},
+       {"epochs_per_run", static_cast<double>(static_cast<std::size_t>(
+                              cfg.duration / cfg.localization_period))}});
 }

@@ -1,7 +1,9 @@
-// Self-test of the shared bench CLI plumbing (bench_common): flag
-// parsing, the --threads pool selection, and the scenario defaults the
-// whole bench suite inherits.
+// Self-test of the shared bench plumbing: bench_common's flag parsing,
+// the --threads pool selection and the scenario defaults the whole bench
+// suite inherits, and the perf harness's parser, sample statistics and
+// interleaved rounds.
 #include "bench_common.hpp"
+#include "perf_harness.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,12 +13,24 @@
 namespace fttt::bench {
 namespace {
 
-Options parse(std::vector<std::string> args) {
+/// Call `parser(argc, argv)` on `bench_test args...`.
+template <typename Parser>
+auto with_argv(std::vector<std::string> args, Parser&& parser) {
   args.insert(args.begin(), "bench_test");
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (std::string& a : args) argv.push_back(a.data());
-  return parse_options(static_cast<int>(argv.size()), argv.data());
+  return parser(static_cast<int>(argv.size()), argv.data());
+}
+
+Options parse(std::vector<std::string> args) {
+  return with_argv(std::move(args), parse_options);
+}
+
+PerfOptions parse_perf(std::vector<std::string> args) {
+  return with_argv(std::move(args), [](int argc, char** argv) {
+    return parse_perf_options("matcher", argc, argv);
+  });
 }
 
 TEST(BenchCli, Defaults) {
@@ -53,17 +67,29 @@ TEST(BenchCli, CsvPathParsed) {
   EXPECT_EQ(*opt.csv_path, "out.csv");
 }
 
+// A value that is not a plain decimal count, or a zero trial count, is
+// refused with the usage text and status 2: silently reading it as 0
+// once ran a bench on the global pool, or printed a table of 0.00
+// errors that read as perfect tracking.
+TEST(BenchCli, RefusesBadValues) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the global pool may run
+  const auto usage = testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse({"--trials", "0"}), usage, "usage: bench_test");
+  EXPECT_EXIT(parse({"--trials", "-3"}), usage, "usage");
+  EXPECT_EXIT(parse({"--trials", "3x"}), usage, "usage");
+  EXPECT_EXIT(parse({"--threads", "abc"}), usage, "usage");
+  EXPECT_EXIT(parse({"--threads", ""}), usage, "usage");
+  EXPECT_EXIT(parse({"--trials"}), usage, "usage");
+  EXPECT_EXIT(parse({"--bogus"}), usage, "usage");
+}
+
 TEST(BenchCli, BenchPoolZeroIsGlobal) {
-  Options opt;
-  opt.threads = 0;
-  BenchPool pool(opt);
+  BenchPool pool(0);
   EXPECT_EQ(&pool.pool(), &ThreadPool::global());
 }
 
 TEST(BenchCli, BenchPoolOwnsRequestedWorkers) {
-  Options opt;
-  opt.threads = 3;
-  BenchPool pool(opt);
+  BenchPool pool(3);
   EXPECT_NE(&pool.pool(), &ThreadPool::global());
   EXPECT_EQ(pool.pool().thread_count(), 3u);
 }
@@ -75,6 +101,63 @@ TEST(BenchCli, DefaultScenarioAppliesOptions) {
   EXPECT_DOUBLE_EQ(cfg.duration, 12.5);
   EXPECT_DOUBLE_EQ(cfg.grid_cell, 2.0);
   EXPECT_EQ(cfg.channel, Channel::kBounded);
+}
+
+TEST(PerfHarness, FullAndFastDefaults) {
+  const PerfOptions full = parse_perf({});
+  EXPECT_FALSE(full.fast);
+  EXPECT_EQ(full.json_path, "BENCH_matcher.json");
+  EXPECT_EQ(full.threads, 0u);
+  EXPECT_EQ(full.rounds(), 9u);
+
+  const PerfOptions fast = parse_perf({"--fast", "--json", "out.json", "--threads", "4"});
+  EXPECT_TRUE(fast.fast);
+  EXPECT_EQ(fast.json_path, "out.json");
+  EXPECT_EQ(fast.threads, 4u);
+  EXPECT_EQ(fast.rounds(), 7u);
+}
+
+// The per-bench size and repeat flags are gone: only --fast, --json and
+// --threads are accepted, and --threads must be a count.
+TEST(PerfHarness, RefusesUnknownFlagsAndBadValues) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the global pool may run
+  const auto usage = testing::ExitedWithCode(2);
+  for (const char* flag : {"--trials", "--repeats", "--vectors", "--builds", "--tracks",
+                           "--ticks", "--churn", "--csv"})
+    EXPECT_EXIT(parse_perf({flag, "3"}), usage, "usage: bench_test") << flag;
+  EXPECT_EXIT(parse_perf({"--threads", "abc"}), usage, "usage");
+  EXPECT_EXIT(parse_perf({"--threads", "-1"}), usage, "usage");
+  EXPECT_EXIT(parse_perf({"--json"}), usage, "usage");
+}
+
+TEST(PerfHarness, MedianAndSpread) {
+  const SampleStats odd = sample_stats({3.0, 1.0, 2.0});
+  EXPECT_DOUBLE_EQ(odd.median, 2.0);
+  EXPECT_DOUBLE_EQ(odd.spread, 1.0);  // (3 - 1) / 2
+
+  const SampleStats even = sample_stats({4.0, 1.0, 3.0, 2.0});
+  EXPECT_DOUBLE_EQ(even.median, 2.5);
+  EXPECT_DOUBLE_EQ(even.spread, 1.2);  // (4 - 1) / 2.5
+
+  const SampleStats one = sample_stats({0.5});
+  EXPECT_DOUBLE_EQ(one.median, 0.5);
+  EXPECT_DOUBLE_EQ(one.spread, 0.0);
+
+  const SampleStats per = odd.per(4.0);
+  EXPECT_DOUBLE_EQ(per.median, 0.5);
+  EXPECT_DOUBLE_EQ(per.spread, 1.0);
+}
+
+TEST(PerfHarness, EveryVariantRunsOncePerRoundInOrder) {
+  std::vector<std::string> log;
+  const auto logged = [&log](std::string what) { return [&log, what] { log.push_back(what); }; };
+  const std::vector<SampleStats> stats =
+      time_rounds(3, {{logged("a")}, {logged("b"), logged("b.setup")}, {logged("c")}});
+  ASSERT_EQ(stats.size(), 3u);
+  std::vector<std::string> want;
+  for (int r = 0; r < 3; ++r) want.insert(want.end(), {"a", "b.setup", "b", "c"});
+  EXPECT_EQ(log, want);
+  for (const SampleStats& s : stats) EXPECT_GE(s.median, 0.0);
 }
 
 }  // namespace

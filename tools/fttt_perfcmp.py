@@ -5,21 +5,21 @@ usage: fttt_perfcmp.py BASELINE CURRENT [BASELINE CURRENT ...]
                        [--tolerance 25%] [--absolute]
 
 Positional arguments form baseline/current pairs, so one invocation can
-gate several bench families at once (CI runs the matcher and the facemap
-trajectories together); an odd file count is a usage error (exit 2).
+gate several bench families and thread counts at once (CI gates all of
+its runs in one call); an odd file count is a usage error (exit 2).
 
-Results are keyed by (name, batch). The default comparison uses the
-machine-portable ratio metrics `speedup_vs_scalar` and
-`speedup_vs_batch` (higher is better): the gate fails when current <
-baseline * (1 - tolerance). Rows without a speedup in the baseline
-(e.g. the scalar reference itself) are skipped.
+Results are keyed by (name, batch, threads): every row must carry the
+worker count of the pool it ran on (a row without one is a parse error,
+exit 2), and a row is compared only against a baseline taken at the
+same count. CI runs each bench at several counts and gates every run
+against the same baseline file; a baseline row at another count shows
+as [missing] and a current row at a count with no baseline as [new].
 
-Throughput benches (BENCH_serve.json) gate the same way through
-`throughput_ref`: a baseline row naming a reference row is compared by
-the ratio of the two rows' `localizations_per_sec` (higher is better),
-with each side's ratio computed within its own file so the metric stays
-machine-portable. A baseline that declares a reference which is missing
-or lacks a positive `localizations_per_sec` is malformed (exit 2).
+The default comparison uses the machine-portable ratio metrics
+`speedup_vs_scalar` and `speedup_vs_batch` (higher is better), each
+computed within one run: the gate fails when current < baseline *
+(1 - tolerance). Rows without a speedup in the baseline (e.g. the
+scalar reference itself) are skipped.
 
 Memory budgets gate through `bytes_per_face` and `bytes_per_trial`
 (lower is better; current must stay <= baseline * (1 + tolerance)).
@@ -60,7 +60,14 @@ def parse_tolerance(text: str) -> float:
     return value
 
 
-def load_results(path: Path) -> dict[tuple[str, int], dict]:
+Key = tuple[str, int, int]
+
+
+def key_name(key: Key) -> str:
+    return f"{key[0]} batch={key[1]} threads={key[2]}"
+
+
+def load_results(path: Path) -> dict[Key, dict]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
@@ -70,39 +77,15 @@ def load_results(path: Path) -> dict[tuple[str, int], dict]:
     if not isinstance(rows, list):
         print(f"fttt_perfcmp: {path}: no 'results' array", file=sys.stderr)
         sys.exit(2)
-    table: dict[tuple[str, int], dict] = {}
+    table: dict[Key, dict] = {}
     for i, row in enumerate(rows):
         try:
-            table[(row["name"], int(row.get("batch", 1)))] = row
+            table[(row["name"], int(row.get("batch", 1)), int(row["threads"]))] = row
         except (TypeError, KeyError, ValueError) as err:
             print(f"fttt_perfcmp: {path}: malformed results row {i}: {err!r}",
                   file=sys.stderr)
             sys.exit(2)
     return table
-
-
-def ref_throughput(table: dict[tuple[str, int], dict], ref_name: str,
-                   batch: int, path: Path) -> float:
-    """`localizations_per_sec` of the reference row `ref_name`.
-
-    Prefers the row with the caller's batch; falls back to a unique row
-    of that name. A missing reference or a reference without a positive
-    throughput is a malformed trajectory (exit 2) — silently skipping
-    would disable the gate.
-    """
-    exact = [row for (n, b), row in table.items() if n == ref_name and b == batch]
-    by_name = [row for (n, b), row in table.items() if n == ref_name]
-    row = exact[0] if exact else (by_name[0] if len(by_name) == 1 else None)
-    if row is None:
-        print(f"fttt_perfcmp: {path}: throughput_ref row {ref_name!r} "
-              f"missing or ambiguous", file=sys.stderr)
-        sys.exit(2)
-    lps = row.get("localizations_per_sec")
-    if not isinstance(lps, (int, float)) or lps <= 0:
-        print(f"fttt_perfcmp: {path}: throughput_ref row {ref_name!r} has no "
-              f"positive localizations_per_sec", file=sys.stderr)
-        sys.exit(2)
-    return float(lps)
 
 
 def compare_pair(baseline_path: Path, current_path: Path, tolerance: float,
@@ -114,40 +97,11 @@ def compare_pair(baseline_path: Path, current_path: Path, tolerance: float,
     regressions = 0
     compared = 0
     for key, base in sorted(baseline.items()):
-        name = f"{key[0]} batch={key[1]}"
+        name = key_name(key)
         cur = current.get(key)
         if cur is None:
             print(f"  [missing] {name}: in baseline only (not fatal)")
             continue
-
-        ref_name = base.get("throughput_ref")
-        if ref_name is not None:
-            compared += 1
-            base_lps = base.get("localizations_per_sec")
-            if not isinstance(base_lps, (int, float)) or base_lps <= 0:
-                print(f"fttt_perfcmp: {baseline_path}: row {name} declares "
-                      f"throughput_ref but has no positive "
-                      f"localizations_per_sec", file=sys.stderr)
-                sys.exit(2)
-            base_ratio = base_lps / ref_throughput(baseline, ref_name, key[1],
-                                                   baseline_path)
-            cur_lps = cur.get("localizations_per_sec")
-            floor = base_ratio * (1.0 - tolerance)
-            if not isinstance(cur_lps, (int, float)) or cur_lps <= 0:
-                print(f"  [REGRESSION] {name}: no localizations_per_sec in "
-                      f"current (baseline ratio {base_ratio:.3f})")
-                regressions += 1
-            else:
-                cur_ratio = cur_lps / ref_throughput(current, ref_name, key[1],
-                                                     current_path)
-                if cur_ratio < floor:
-                    print(f"  [REGRESSION] {name}: throughput ratio "
-                          f"{cur_ratio:.3f}x vs {ref_name} < floor "
-                          f"{floor:.3f} (baseline {base_ratio:.3f})")
-                    regressions += 1
-                else:
-                    print(f"  [ok] {name}: throughput ratio {cur_ratio:.3f}x "
-                          f"vs {ref_name} >= floor {floor:.3f}")
 
         for metric in ("speedup_vs_scalar", "speedup_vs_batch"):
             base_speedup = base.get(metric)
@@ -192,7 +146,7 @@ def compare_pair(baseline_path: Path, current_path: Path, tolerance: float,
                 print(f"  [ok] {name}: {ns:.1f} ns/loc <= ceiling {ceiling:.1f}")
 
     for key in sorted(set(current) - set(baseline)):
-        print(f"  [new] {key[0]} batch={key[1]}: no baseline yet (not fatal)")
+        print(f"  [new] {key_name(key)}: no baseline yet (not fatal)")
 
     return compared, regressions
 

@@ -2,9 +2,11 @@
 """Self-test for fttt_perfcmp.py exit-status contract (run as a ctest).
 
 Covers the documented statuses: 0 within tolerance, 1 regression, and 2
-for unreadable files, missing 'results', and malformed result rows — the
-last one is what CI scripts key on, so a traceback escaping as status 1
-would silently flip a parse error into a "regression".
+for unreadable files, missing 'results', and malformed result rows (a
+row without `threads` included) — the last one is what CI scripts key
+on, so a traceback escaping as status 1 would silently flip a parse
+error into a "regression". Rows are keyed by (name, batch, threads), so
+a row is only ever compared against a baseline at its own thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 PERFCMP = Path(__file__).resolve().parent / "fttt_perfcmp.py"
 
 
-def run_files(docs: list[object], *extra: str) -> int:
+def perfcmp(docs: list[object], *extra: str) -> subprocess.CompletedProcess:
     """Write each doc to its own file and pass them all positionally."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -26,14 +28,23 @@ def run_files(docs: list[object], *extra: str) -> int:
             path = Path(tmp) / f"f{i}.json"
             path.write_text(json.dumps(doc_obj), encoding="utf-8")
             paths.append(str(path))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, str(PERFCMP), *paths, *extra],
             capture_output=True, text=True)
-        return proc.returncode
+
+
+def run_files(docs: list[object], *extra: str) -> int:
+    return perfcmp(docs, *extra).returncode
 
 
 def run(baseline: object, current: object, *extra: str) -> int:
     return run_files([baseline, current], *extra)
+
+
+def reported(baseline: object, current: object, line: str) -> int:
+    """The exit status, or 3 when stdout lacks `line`."""
+    proc = perfcmp([baseline, current])
+    return proc.returncode if line in proc.stdout else 3
 
 
 def doc(*rows: dict) -> dict:
@@ -41,45 +52,40 @@ def doc(*rows: dict) -> dict:
 
 
 def main() -> int:
-    ok_row = {"name": "soa", "batch": 256, "speedup_vs_scalar": 5.0}
-    slow_row = {"name": "soa", "batch": 256, "speedup_vs_scalar": 1.0}
+    ok_row = {"name": "soa", "batch": 256, "threads": 1, "speedup_vs_scalar": 5.0}
+    slow_row = dict(ok_row, speedup_vs_scalar=1.0)
     # bytes_per_face memory gate (BENCH_largeN.json shape): lower is
     # better, always on (scenario-determined, machine-portable).
-    lean_row = {"name": "hier", "batch": 64, "bytes_per_face": 80.0}
+    lean_row = {"name": "hier", "batch": 64, "threads": 1, "bytes_per_face": 80.0}
     fat_row = dict(lean_row, bytes_per_face=200.0)
-    lost_row = {"name": "hier", "batch": 64}
+    lost_row = {"name": "hier", "batch": 64, "threads": 1}
     # bytes_per_trial gates like bytes_per_face (BENCH_campaign.json
     # shape: the pooled workers' steady-state allocations per trial).
-    lean_trial = {"name": "campaign_1t", "batch": 1, "bytes_per_trial": 2.7e5}
+    lean_trial = {"name": "campaign_1t", "batch": 1, "threads": 1,
+                  "bytes_per_trial": 2.7e5}
     fat_trial = dict(lean_trial, bytes_per_trial=1.6e6)
-    lost_trial = {"name": "campaign_1t", "batch": 1}
+    lost_trial = {"name": "campaign_1t", "batch": 1, "threads": 1}
     # speedup_vs_batch gates exactly like speedup_vs_scalar (the largeN
     # hier rows carry both ratios; the vs-batch one is the headline
     # sublinearity claim).
-    vsb_row = {"name": "hier", "batch": 64, "speedup_vs_batch": 10.0}
+    vsb_row = {"name": "hier", "batch": 64, "threads": 1, "speedup_vs_batch": 10.0}
     vsb_slow = dict(vsb_row, speedup_vs_batch=2.0)
-    # Throughput-ratio gating (BENCH_serve.json shape): a row names its
-    # in-file scalar reference and gates on the localizations_per_sec
-    # ratio, so absolute numbers stay machine-local.
-    scalar_ref = {"name": "scalar", "batch": 64, "localizations_per_sec": 1e5}
-    serve_fast = {"name": "serve", "batch": 64, "throughput_ref": "scalar",
-                  "localizations_per_sec": 5e5}
-    # Same 5x ratio at different absolute speed: must pass (portability).
-    scalar_ref_slowbox = dict(scalar_ref, localizations_per_sec=1e4)
-    serve_fast_slowbox = dict(serve_fast, localizations_per_sec=5e4)
-    serve_slow = dict(serve_fast, localizations_per_sec=1.5e5)
-    serve_no_lps = {"name": "serve", "batch": 64, "throughput_ref": "scalar"}
+    # Threads keying: a row is compared only against the baseline taken
+    # at its own worker count.
+    mt_ok = dict(ok_row, threads=4, speedup_vs_scalar=2.0)
+    mt_slow = dict(mt_ok, speedup_vs_scalar=0.5)
+    no_threads = {"name": "soa", "batch": 256, "speedup_vs_scalar": 5.0}
     checks = [
         ("ok within tolerance", run(doc(ok_row), doc(ok_row)), 0),
         ("regression", run(doc(ok_row), doc(slow_row)), 1),
         ("not json", run("not-a-doc", doc(ok_row)), 2),
         ("no results array", run({"results": 7}, doc(ok_row)), 2),
-        ("row missing name", run(doc({"batch": 1}), doc(ok_row)), 2),
-        ("row non-int batch", run(doc({"name": "x", "batch": "wat"}),
+        ("row missing name", run(doc({"batch": 1, "threads": 1}), doc(ok_row)), 2),
+        ("row non-int batch", run(doc({"name": "x", "batch": "wat", "threads": 1}),
                                   doc(ok_row)), 2),
         ("row not a dict", run(doc(ok_row), {"results": [5]}), 2),
         ("nothing comparable", run(doc(), doc()), 2),
-        # Multi-pair invocations (CI gates matcher + facemap in one call).
+        # Multi-pair invocations (CI gates every bench in one call).
         ("two pairs ok",
          run_files([doc(ok_row), doc(ok_row), doc(ok_row), doc(ok_row)]), 0),
         ("regression in second pair",
@@ -99,25 +105,17 @@ def main() -> int:
         ("vs-batch within tolerance", run(doc(vsb_row), doc(vsb_row)), 0),
         ("vs-batch regression", run(doc(vsb_row), doc(vsb_slow)), 1),
         ("vs-batch metric lost", run(doc(vsb_row), doc(lost_row)), 1),
-        # throughput_ref ratio gate.
-        ("throughput ratio ok",
-         run(doc(scalar_ref, serve_fast), doc(scalar_ref, serve_fast)), 0),
-        ("throughput ratio portable across machines",
-         run(doc(scalar_ref, serve_fast),
-             doc(scalar_ref_slowbox, serve_fast_slowbox)), 0),
-        ("throughput ratio regression",
-         run(doc(scalar_ref, serve_fast), doc(scalar_ref, serve_slow)), 1),
-        ("throughput row lost its rate",
-         run(doc(scalar_ref, serve_fast), doc(scalar_ref, serve_no_lps)), 1),
-        ("throughput ref missing in current",
-         run(doc(scalar_ref, serve_fast), doc(serve_fast)), 2),
-        ("throughput ref missing in baseline",
-         run(doc(serve_fast), doc(scalar_ref, serve_fast)), 2),
-        ("throughput ref without a rate",
-         run(doc({"name": "scalar", "batch": 64}, serve_fast),
-             doc(scalar_ref, serve_fast)), 2),
-        ("throughput row in baseline without a rate",
-         run(doc(scalar_ref, serve_no_lps), doc(scalar_ref, serve_fast)), 2),
+        # threads keying.
+        ("same-count regression fails",
+         run(doc(ok_row, mt_ok), doc(ok_row, mt_slow)), 1),
+        ("other-count row is new, not compared",
+         reported(doc(ok_row), doc(ok_row, mt_slow),
+                  "[new] soa batch=256 threads=4"), 0),
+        ("other-count baseline never gates",
+         run(doc(ok_row, mt_ok), doc(dict(ok_row, threads=2, speedup_vs_scalar=0.1),
+                                     ok_row)), 0),
+        ("baseline row without threads", run(doc(no_threads), doc(ok_row)), 2),
+        ("current row without threads", run(doc(ok_row), doc(no_threads)), 2),
     ]
     failures = 0
     for label, got, want in checks:
