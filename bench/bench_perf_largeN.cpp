@@ -11,6 +11,13 @@
 // each hier row records the headline sublinearity claim (>= 10x at 64
 // sensors; docs/perf.md "Large-N matching").
 //
+// Those rows time signature_workload queries — a face signature with
+// three flips — which prune hard. Served frames do not: the
+// `batch_soa_noisy` / `hier_noisy` rows at N <= 64 time the same two
+// engines on SyntheticWorkload frames (bounded channel, 20% report
+// dropout, built as the serve shard builds them), so `speedup_vs_batch`
+// on `hier_noisy` is what the descent buys live traffic.
+//
 //   bench_perf_largeN [--fast] [--json PATH] [--threads N]
 //
 // The flat and hierarchical BatchMatchers run on the selected pool; the
@@ -29,10 +36,13 @@
 #include "core/facemap_builder.hpp"
 #include "core/hier_facemap.hpp"
 #include "core/matcher.hpp"
+#include "core/sampling_vector.hpp"
 #include "core/signature_index.hpp"
 #include "net/deployment.hpp"
 #include "perf_harness.hpp"
 #include "rf/uncertainty.hpp"
+#include "serve/workload.hpp"
+#include "sim/scenario_build.hpp"
 
 namespace {
 
@@ -44,6 +54,29 @@ SamplingVector all_star(const FaceMap& map) {
   vd.value.assign(map.dimension(), 0.0);
   vd.known.assign(map.dimension(), false);
   return vd;
+}
+
+/// `n` served-frame vectors on `roster`: SyntheticWorkload frames of 64
+/// tracks under the default bounded channel (whose division constant the
+/// timed maps use) with 20% report dropout, built into basic-mode vectors
+/// as the serve shard builds them. Deterministic in `seed`.
+std::vector<SamplingVector> served_workload(const Deployment& roster, const Aabb& field,
+                                            std::size_t n, std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.field = field;
+  cfg.channel = Channel::kBounded;
+  SyntheticWorkload::Config frames;
+  frames.tracks = 64;
+  frames.drop_probability = 0.2;
+  frames.epoch_period = cfg.localization_period;
+  frames.sampling = scenario_sampling(cfg, resolve_channel(cfg));
+  const SyntheticWorkload source(roster, field, frames, seed);
+  std::vector<SamplingVector> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(build_sampling_vector(source.frame(i % frames.tracks, i / frames.tracks).group,
+                                        cfg.eps, VectorMode::kBasic, cfg.missing));
+  return out;
 }
 
 /// Argmax bit-equivalence of descend() vs the scalar spec on `map`.
@@ -117,12 +150,17 @@ int main(int argc, char** argv) {
 
   for (const std::size_t sensors : sizes) {
     RngStream rng(1000 + sensors);
-    const Engines e = engines(random_deployment(field, sensors, rng));
+    const Deployment roster = random_deployment(field, sensors, rng);
+    const Engines e = engines(roster);
     const FaceMap& map = *e.map;
 
-    // Per-N gate: a few random vectors plus all-'*' straight against the
-    // scalar spec at this exact N.
+    // Per-N gate: a few random and served vectors plus all-'*' straight
+    // against the scalar spec at this exact N.
+    const bool noisy = sensors <= 64;
     std::vector<SamplingVector> gate = bench::signature_workload(map, fast ? 4 : 8, 2000 + sensors);
+    if (noisy)
+      for (SamplingVector& vd : served_workload(roster, field, fast ? 4 : 8, 2500 + sensors))
+        gate.push_back(std::move(vd));
     gate.push_back(all_star(map));
     check_equivalence(map, e.hier, gate, "timed-N");
 
@@ -140,9 +178,19 @@ int main(int argc, char** argv) {
     const std::vector<SamplingVector> flat_work(workload.begin(),
                                                 workload.begin() + static_cast<std::ptrdiff_t>(flat_cap));
 
+    // Served traffic: the descent runs as many vectors as on the
+    // signature workload, the flat scan a flat_cap leading subset; each
+    // row normalizes per localization.
+    const std::vector<SamplingVector> noisy_work =
+        noisy ? served_workload(roster, field, vectors, 3500 + sensors)
+              : std::vector<SamplingVector>{};
+    const std::vector<SamplingVector> noisy_flat_work(
+        noisy_work.begin(),
+        noisy_work.begin() + static_cast<std::ptrdiff_t>(std::min(noisy_work.size(), flat_cap)));
+
     volatile double sink = 0.0;
     const ExhaustiveMatcher spec;
-    const std::vector<bench::SampleStats> t = bench.time({
+    std::vector<bench::Variant> variants = {
         {[&] {
           double acc = 0.0;
           for (std::size_t i = 0; i < scalar_cap; ++i)
@@ -159,7 +207,20 @@ int main(int argc, char** argv) {
           for (const MatchResult& m : e.hier.match(workload)) acc += m.similarity;
           sink = acc;
         }},
-    });
+    };
+    if (noisy) {
+      variants.push_back({[&] {
+        double acc = 0.0;
+        for (const MatchResult& m : e.flat.match(noisy_flat_work)) acc += m.similarity;
+        sink = acc;
+      }});
+      variants.push_back({[&] {
+        double acc = 0.0;
+        for (const MatchResult& m : e.hier.match(noisy_work)) acc += m.similarity;
+        sink = acc;
+      }});
+    }
+    const std::vector<bench::SampleStats> t = bench.time(variants);
     (void)sink;
 
     const bench::SampleStats scalar = t[0].per(static_cast<double>(scalar_cap));
@@ -174,6 +235,13 @@ int main(int argc, char** argv) {
                {{"speedup_vs_scalar", scalar.median / hier.median},
                 {"speedup_vs_batch", flat.median / hier.median},
                 {"bytes_per_face", bytes_per_face}}});
+    if (noisy) {
+      const bench::SampleStats flat_noisy = t[3].per(static_cast<double>(noisy_flat_work.size()));
+      const bench::SampleStats hier_noisy = t[4].per(static_cast<double>(noisy_work.size()));
+      bench.add({"batch_soa_noisy", sensors, threads, flat_noisy});
+      bench.add({"hier_noisy", sensors, threads, hier_noisy,
+                 {{"speedup_vs_batch", flat_noisy.median / hier_noisy.median}}});
+    }
   }
   return bench.finish({{"field", 100.0}, {"cell", cell}});
 }

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -24,12 +26,15 @@ const FaceMap& require_map(const std::shared_ptr<const FaceMap>& map) {
 }
 
 // Function multi-versioning for the hot kernels. The release build targets
-// baseline x86-64 (SSE2); these loops are pure element-wise double math, so
-// the wider AVX2/AVX-512 clones stay bit-identical to the default one: IEEE
-// subtract, multiply, add, sqrt and divide are correctly rounded in every
-// lane, and this TU compiles with -ffp-contract=off (see core/CMakeLists.txt)
-// so no clone fuses d*d + acc into an FMA. The loader's ifunc resolver picks
-// the widest ISA the CPU supports.
+// baseline x86-64 (SSE2); the loader's ifunc resolver picks the widest
+// clone the CPU supports. The double kernels are pure element-wise math,
+// so every clone is bit-identical to the default one: IEEE subtract,
+// multiply, add, sqrt and divide are correctly rounded in every lane, and
+// this TU compiles with -ffp-contract=off (see core/CMakeLists.txt) so no
+// clone fuses d*d + acc into an FMA. The integral descent kernels sum
+// exact small integers in 8- and 16-bit lanes, which AVX-512F alone
+// lacks (those ops are AVX-512BW): the wide clone is x86-64-v4 (AVX-512
+// F/BW/CD/DQ/VL).
 //
 // TSan is incompatible with ifunc dispatch (the resolver runs before the
 // sanitizer runtime is initialized and segfaults at load), so thread-
@@ -45,7 +50,7 @@ const FaceMap& require_map(const std::shared_ptr<const FaceMap>& map) {
     defined(__has_attribute) && !defined(FTTT_NO_VECTOR_CLONES)
 #if __has_attribute(target_clones)
 #define FTTT_VECTOR_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
+  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
 #define FTTT_HAS_VECTOR_CLONES 1
 #endif
 #endif
@@ -75,15 +80,89 @@ void similarity_in_place(double* __restrict acc, std::size_t len) {
   for (std::size_t f = 0; f < len; ++f) acc[f] = 1.0 / std::sqrt(acc[f]);
 }
 
-/// Smallest integer squared term `mask` permits for an integral
-/// component `v` — the same minimum HierFaceMap's bound kernel folds
-/// into a node bound, so subtracting it per mixed/varying plane
-/// recovers the node's exact shared base (see descend_into).
-std::uint32_t int_min_term(std::uint8_t mask, std::int32_t v) {
-  return HierFaceMap::kIntMinTerm[static_cast<std::size_t>(v + 1)][mask];
-}
+using detail::kIntFlushPlanes;
+using detail::kIntLanes;
+static_assert(HierFaceMap::kTileFaces == kIntLanes && HierFaceMap::kFanout == kIntLanes,
+              "one integral kernel width serves tiles and child expansions");
+
+/// Integral component code: v + 1 for a known v in {-1, 0, +1} (the
+/// kIntMinTerm row), kUnknownCode for '*'.
+constexpr std::uint8_t kUnknownCode = 3;
 
 }  // namespace
+
+namespace detail {
+
+FTTT_VECTOR_CLONES
+void add_square_terms(const SigValue* const* planes, const std::uint8_t* codes,
+                      std::size_t count, std::uint32_t* __restrict acc) {
+  for (std::size_t i0 = 0; i0 < count; i0 += kIntFlushPlanes) {
+    const std::size_t i1 = std::min(count, i0 + kIntFlushPlanes);
+    // A fixed-width local accumulator in 16-bit arithmetic: the compiler
+    // keeps it in vector registers across the plane loop (nothing aliases
+    // it) and multiplies in 16-bit lanes. The full unroll of the lane loop
+    // keeps -O3's unroll-and-jam of the plane loop from scalarizing it.
+    std::array<std::uint16_t, kIntLanes> sum{};
+    for (std::size_t i = i0; i < i1; ++i) {
+      const SigValue* p = planes[i];
+      const auto v = static_cast<std::int16_t>(codes[i] - 1);
+#pragma GCC unroll 64
+      for (std::size_t k = 0; k < kIntLanes; ++k) {
+        const auto d = static_cast<std::int16_t>(v - p[k]);
+        sum[k] = static_cast<std::uint16_t>(sum[k] + static_cast<std::uint16_t>(d * d));
+      }
+    }
+    for (std::size_t k = 0; k < kIntLanes; ++k) acc[k] += sum[k];
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+namespace {
+using Bytes16 = std::uint8_t __attribute__((vector_size(16)));
+using Words16 = std::uint16_t __attribute__((vector_size(32)));
+
+/// kIntMinTerm rows as byte vectors (a term is at most 4): one in-register
+/// byte shuffle looks up 16 lanes' terms at once.
+const std::array<Bytes16, 3> kMinTermRows = [] {
+  std::array<Bytes16, 3> rows{};
+  for (std::size_t code = 0; code < rows.size(); ++code)
+    for (std::size_t m = 0; m < 8; ++m)
+      rows[code][m] = static_cast<std::uint8_t>(HierFaceMap::kIntMinTerm[code][m]);
+  return rows;
+}();
+}  // namespace
+
+FTTT_VECTOR_CLONES
+void add_min_terms(const std::uint8_t* const* masks, const std::uint8_t* codes,
+                   std::size_t count, std::uint32_t* __restrict acc) {
+  constexpr std::size_t kQuads = kIntLanes / 16;
+  for (std::size_t i0 = 0; i0 < count; i0 += kIntFlushPlanes) {
+    const std::size_t i1 = std::min(count, i0 + kIntFlushPlanes);
+    std::array<Words16, kQuads> sum{};
+    for (std::size_t i = i0; i < i1; ++i) {
+      const Bytes16 row = kMinTermRows[codes[i]];
+      for (std::size_t q = 0; q < kQuads; ++q) {
+        Bytes16 m;
+        std::memcpy(&m, masks[i] + 16 * q, sizeof m);
+        sum[q] += __builtin_convertvector(__builtin_shuffle(row, m), Words16);
+      }
+    }
+    for (std::size_t q = 0; q < kQuads; ++q)
+      for (std::size_t k = 0; k < 16; ++k) acc[16 * q + k] += sum[q][k];
+  }
+}
+#else
+void add_min_terms(const std::uint8_t* const* masks, const std::uint8_t* codes,
+                   std::size_t count, std::uint32_t* __restrict acc) {
+  // Portable form of the byte-shuffle kernel above: the same lookups,
+  // summed straight into the 32-bit lanes.
+  for (std::size_t i = 0; i < count; ++i)
+    for (std::size_t k = 0; k < kIntLanes; ++k)
+      acc[k] += HierFaceMap::kIntMinTerm[codes[i]][masks[i][k]];
+}
+#endif
+
+}  // namespace detail
 
 /// Reusable per-worker state of one descent: the best-first frontier,
 /// child-bound staging, the rescored (face, similarity) pairs, and one
@@ -99,16 +178,23 @@ struct BatchMatcher::DescentScratch {
   std::vector<Node> heap;
   std::vector<double> bounds;  ///< child bounds of one expansion
   std::vector<std::pair<FaceId, double>> scored;
-  std::array<double, HierFaceMap::kTileFaces> acc;
-  std::array<std::uint32_t, HierFaceMap::kTileFaces> acc32;
-  std::vector<std::int32_t> iv;  ///< integral component values
+  std::array<double, kIntLanes> acc;
+  std::array<std::uint32_t, kIntLanes> acc32;
+  /// Integral path: each component's code (v + 1, or kUnknownCode for
+  /// '*'), built once per vector, and one expansion's live planes — the
+  /// known planes among the node's mixed/varying ones, with their codes.
+  std::vector<std::uint8_t> code;
+  std::vector<const SigValue*> live_planes;
+  std::vector<const std::uint8_t*> live_masks;
+  std::vector<std::uint8_t> live_codes;
 };
 
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
                            ThreadPool& pool)
     : map_(std::move(map)), config_(config), pool_(&pool),
       table_(std::make_shared<const SignatureTable>(require_map(map_))) {
-  FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
+  FTTT_CHECK(config_.face_block > 0 && config_.min_cells_per_helper > 0,
+             "BatchMatcher: zero face_block or min_cells_per_helper");
   FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
 }
 
@@ -119,7 +205,8 @@ BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable ta
   const FaceMap& m = require_map(map_);
   if (table_->face_count() != m.face_count() || table_->dimension() != m.dimension())
     throw std::invalid_argument("BatchMatcher: signature table does not match map");
-  FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
+  FTTT_CHECK(config_.face_block > 0 && config_.min_cells_per_helper > 0,
+             "BatchMatcher: zero face_block or min_cells_per_helper");
   FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
 }
 
@@ -131,7 +218,8 @@ BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map,
   if (!table_) throw std::invalid_argument("BatchMatcher: null signature table");
   if (table_->face_count() != m.face_count() || table_->dimension() != m.dimension())
     throw std::invalid_argument("BatchMatcher: signature table does not match map");
-  FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
+  FTTT_CHECK(config_.face_block > 0 && config_.min_cells_per_helper > 0,
+             "BatchMatcher: zero face_block or min_cells_per_helper");
   FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
 }
 
@@ -272,21 +360,47 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
   const std::size_t faces = table_->face_count();
   const std::size_t dim = table_->dimension();
 
-  // Basic-mode vectors (every known component in {-1, 0, +1}) rescore
-  // tiles in exact integer arithmetic through the inverted index; every
-  // partial sum is a small integer, so casting the final accumulator to
-  // double reproduces the rounded accumulation bit for bit.
+  // Basic-mode vectors (every known component in {-1, 0, +1}) bound and
+  // rescore in exact integer arithmetic through the inverted index: every
+  // term is 0, 1 or 4, so casting a final sum to double reproduces the
+  // rounded accumulation bit for bit. The per-component codes are built
+  // once here; the expansions below never touch vd again.
   bool integral = true;
-  ds.iv.assign(dim, 0);
+  ds.code.resize(dim);
   for (std::size_t c = 0; c < dim; ++c) {
-    if (!vd.known[c]) continue;
+    if (!vd.known[c]) {
+      ds.code[c] = kUnknownCode;
+      continue;
+    }
     const double v = vd.value[c];
     if (v != -1.0 && v != 0.0 && v != 1.0) {
       integral = false;
       break;
     }
-    ds.iv[c] = static_cast<std::int32_t>(v);
+    ds.code[c] = static_cast<std::uint8_t>(static_cast<int>(v) + 1);
   }
+
+  // One integral expansion of node `nd`: hand each known plane among
+  // `planes` to `live` (which stages its row for a kernel), stage its
+  // code, and return nd.bound minus those planes' node minima — the
+  // kIntMinTerm entries HierFaceMap's bound kernel summed into it. On
+  // every other plane each covered face (or child) pays exactly the
+  // node's minimum, so what remains is their exact shared base.
+  const auto collect = [&](std::span<const std::uint32_t> planes,
+                           const DescentScratch::Node& nd, auto&& live) {
+    auto base = static_cast<std::uint32_t>(nd.bound);
+    FTTT_DCHECK(static_cast<double>(base) == nd.bound,
+                "integral node bound is not integer: ", nd.bound);
+    ds.live_codes.clear();
+    for (const std::uint32_t c : planes) {
+      const std::uint8_t code = ds.code[c];
+      if (code == kUnknownCode) continue;
+      base -= HierFaceMap::kIntMinTerm[code][hier.mask(nd.level, c, nd.id)];
+      ds.live_codes.push_back(code);
+      live(c);
+    }
+    return base;
+  };
 
   // Min-heap on (bound, level, id): the bound orders the best-first
   // search, the (level, id) tail makes the pop sequence a total order —
@@ -347,33 +461,21 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
         // the varying planes' parent minima from the parent bound and
         // add back each child's own minima; integer arithmetic end to
         // end, so these are the very bounds a direct full-dimension
-        // pass computes, at the cost of only the varying planes.
-        static_assert(HierFaceMap::kFanout <= HierFaceMap::kTileFaces,
-                      "acc32 doubles as the child-bound staging buffer");
-        std::uint32_t base = static_cast<std::uint32_t>(nd.bound);
-        FTTT_DCHECK(static_cast<double>(base) == nd.bound,
-                    "integral node bound is not integer: ", nd.bound);
-        const std::span<const std::uint32_t> varying =
-            index.varying_planes(nd.level, nd.id);
-        for (const std::uint32_t c : varying) {
-          if (!vd.known[c]) continue;
-          base -= int_min_term(hier.mask(nd.level, c, nd.id), ds.iv[c]);
-        }
-        std::fill_n(ds.acc32.data(), n, base);
-        for (const std::uint32_t c : varying) {
-          if (!vd.known[c]) continue;
-          const std::uint32_t* lut =
-              HierFaceMap::kIntMinTerm[static_cast<std::size_t>(ds.iv[c] + 1)]
-                  .data();
-          const std::uint8_t* m = hier.plane(nd.level - 1, c) + lo;
-          for (std::size_t j = 0; j < n; ++j) ds.acc32[j] += lut[m[j]];
-        }
+        // pass computes, at the cost of only the varying planes. Child
+        // mask rows are padded to kFanout (pad masks 0), so the kernel
+        // reads all 64 lanes of a node's last, partial child range too.
+        ds.live_masks.clear();
+        ds.acc32.fill(collect(index.varying_planes(nd.level, nd.id), nd, [&](std::uint32_t c) {
+          ds.live_masks.push_back(hier.plane(nd.level - 1, c) + lo);
+        }));
+        detail::add_min_terms(ds.live_masks.data(), ds.live_codes.data(),
+                              ds.live_masks.size(), ds.acc32.data());
         for (std::size_t j = 0; j < n; ++j)
           ds.bounds[j] = static_cast<double>(ds.acc32[j]);
       } else {
         hier.lower_bounds_into(vd, nd.level - 1, lo, hi, ds.bounds.data());
       }
-      for (std::size_t j = 0; j < hi - lo; ++j) {
+      for (std::size_t j = 0; j < n; ++j) {
         ds.heap.push_back(
             {ds.bounds[j], nd.level - 1, static_cast<std::uint32_t>(lo + j)});
         std::push_heap(ds.heap.begin(), ds.heap.end(), later);
@@ -388,25 +490,16 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
       // The tile bound summed min terms over *all* known planes; pure
       // planes' minima are the exact terms every covered face pays, so
       // subtracting the mixed minima leaves the exact shared base, and
-      // only the mixed planes need the per-face inner loop.
-      std::uint32_t base = static_cast<std::uint32_t>(nd.bound);
-      FTTT_DCHECK(static_cast<double>(base) == nd.bound,
-                  "integral tile bound is not integer: ", nd.bound);
-      for (const std::uint32_t c : index.mixed_planes(nd.id)) {
-        if (!vd.known[c]) continue;
-        base -= int_min_term(hier.mask(0, c, nd.id), ds.iv[c]);
-      }
-      std::fill_n(ds.acc32.data(), width, base);
-      for (const std::uint32_t c : index.mixed_planes(nd.id)) {
-        if (!vd.known[c]) continue;
-        const SigValue* p = table_->plane(c) + f0;
-        const std::int32_t v = ds.iv[c];
-        for (std::size_t k = 0; k < width; ++k) {
-          const std::int32_t d = v - p[k];
-          ds.acc32[k] += static_cast<std::uint32_t>(d * d);
-        }
-      }
-      for (std::size_t k = 0; k < width; ++k)
+      // only the mixed planes need the per-face kernel. A tile is one
+      // padding block of the table, so the kernel's 64 lanes stay inside
+      // the plane even on the partial last tile (pad columns hold 0).
+      ds.live_planes.clear();
+      ds.acc32.fill(collect(index.mixed_planes(nd.id), nd, [&](std::uint32_t c) {
+        ds.live_planes.push_back(table_->plane(c) + f0);
+      }));
+      detail::add_square_terms(ds.live_planes.data(), ds.live_codes.data(),
+                               ds.live_planes.size(), ds.acc32.data());
+      for (std::size_t k = 0; k < kIntLanes; ++k)
         ds.acc[k] = 1.0 / std::sqrt(static_cast<double>(ds.acc32[k]));
     } else {
       // Extended-mode vectors: the flat segment kernels, restricted to
@@ -502,10 +595,20 @@ std::vector<MatchResult> BatchMatcher::match(
   FTTT_OBS_HIST("matcher.batch.size", "vectors", batch.size());
   for (const SamplingVector& vd : batch) require_dimension(vd);
 
+  // Fan out only as far as the work pays: one helper per
+  // min_cells_per_helper cells, no more helpers than chunks the caller
+  // leaves, and at most workers - 1, so the helpers plus the
+  // participating caller never outnumber the pool (on a host with as
+  // many cores as workers, one more runnable thread is one that gets
+  // preempted mid-chunk).
   const std::size_t n = batch.size();
   const std::size_t padded = table_->padded_faces();
   const std::size_t workers = pool_->stopped() ? 1 : pool_->thread_count();
-  if (n < config_.min_parallel_batch || workers <= 1) {
+  const std::size_t chunks = std::min(n, workers * 4);
+  const std::size_t helpers =
+      std::min({workers - 1, chunks - 1,
+                n * table_->dimension() * padded / config_.min_cells_per_helper});
+  if (helpers == 0) {
     if (hier_) {
       DescentScratch ds;
       for (std::size_t i = 0; i < n; ++i) descend_into(batch[i], ds, results[i]);
@@ -522,9 +625,8 @@ std::vector<MatchResult> BatchMatcher::match(
   state->results = results.data();
   state->n = n;
   state->hier = hier_ != nullptr;
-  state->chunks = std::min(n, workers * 4);
-  state->chunk_size = (n + state->chunks - 1) / state->chunks;
-  const std::size_t helpers = std::min(state->chunks - 1, workers);
+  state->chunks = chunks;
+  state->chunk_size = (n + chunks - 1) / chunks;
   if (hier_)
     state->descent.resize(helpers + 1);
   else

@@ -28,6 +28,8 @@
 // tests/core/test_hier_descend.cpp enforces the descent contract.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -45,9 +47,15 @@ struct BatchMatcherConfig {
   /// Accumulator columns per block: the block's doubles plus one plane
   /// segment should stay L1-resident (1024 -> 8 KiB acc + 1 KiB plane).
   std::size_t face_block{1024};
-  /// Batches below this size run on the caller; pool fan-out overhead
-  /// would exceed the matching work.
-  std::size_t min_parallel_batch{16};
+  /// Table cells (one pair's component of one face) of matching work a
+  /// batch must offer each pool helper before match() wakes it; below
+  /// one helper's worth the caller matches the batch alone. A batch's
+  /// work is counted as its flat scan, vectors x pairs x padded faces
+  /// (the descent's worst case). A woken helper costs tens of
+  /// microseconds, and one preempted while it holds a claimed chunk
+  /// stalls the whole batch for a scheduler slice, so each must carry
+  /// well over that: 2^20 cells are ~0.4 ms of flat scan.
+  std::size_t min_cells_per_helper{std::size_t{1} << 20};
 };
 
 class BatchMatcher {
@@ -169,5 +177,31 @@ class BatchMatcher {
   std::shared_ptr<const HierFaceMap> hier_;      ///< set => descent routing
   std::shared_ptr<const SignatureIndex> index_;  ///< set iff hier_ is
 };
+
+namespace detail {
+
+/// The integral descent kernels (basic-mode vectors; docs/matching.md).
+/// Each adds one small-integer term per listed plane to kIntLanes lanes
+/// — the faces of one level-0 tile, or the children of one pyramid node
+/// — and codes[i] = v + 1 names plane i's component v in {-1, 0, +1}.
+/// Every term is at most 4, so the kernels sum in 16-bit lanes and
+/// flush into the 32-bit `acc` every kIntFlushPlanes planes: exact for
+/// any dimension. Each planes[i] / masks[i] row must hold kIntLanes
+/// readable bytes. Exposed so tests can drive the flush boundary, which
+/// no deployment small enough to build in a test reaches.
+inline constexpr std::size_t kIntLanes = 64;
+inline constexpr std::size_t kIntFlushPlanes = 16383;  // 16383 * 4 < 2^16
+
+/// acc[k] += (v_i - planes[i][k])^2: the exact rescore of a tile's faces
+/// on its mixed planes.
+void add_square_terms(const SigValue* const* planes, const std::uint8_t* codes,
+                      std::size_t count, std::uint32_t* acc);
+
+/// acc[k] += HierFaceMap::kIntMinTerm[codes[i]][masks[i][k]]: the child
+/// bounds of one node on its varying planes.
+void add_min_terms(const std::uint8_t* const* masks, const std::uint8_t* codes,
+                   std::size_t count, std::uint32_t* acc);
+
+}  // namespace detail
 
 }  // namespace fttt

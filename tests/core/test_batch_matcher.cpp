@@ -102,20 +102,27 @@ TEST(BatchMatcher, EquivalentToExhaustiveAcrossRandomDeployments) {
   for (const std::size_t sensors : {4u, 7u, 10u}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       const auto map = make_map(sensors, seed);
+      // These maps are far below the default fan-out threshold, so the
+      // default matcher runs every batch on the caller; the second one
+      // fans every multi-vector batch out over the pool.
       const BatchMatcher matcher(map);
+      BatchMatcher::Config fan_out;
+      fan_out.min_cells_per_helper = 1;
+      const BatchMatcher fanned(map, fan_out);
       RngStream rng(seed * 1000 + sensors);
-      // All required batch sizes, including one exceeding the map size
-      // and one exercising the parallel fan-out path.
+      // All required batch sizes, including one exceeding the map size.
       for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
         std::vector<SamplingVector> batch;
         batch.reserve(batch_size);
         for (std::size_t i = 0; i < batch_size; ++i)
           batch.push_back(noisy_vector(*map, rng, (i % 3) == 0));
         batch.front() = all_star_vector(*map);  // always cover all-'*'
-        const std::vector<MatchResult> results = matcher.match(batch);
-        ASSERT_EQ(results.size(), batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i)
-          expect_identical(reference.match(*map, batch[i]), results[i], "batch item");
+        for (const BatchMatcher* m : {&matcher, &fanned}) {
+          const std::vector<MatchResult> results = m->match(batch);
+          ASSERT_EQ(results.size(), batch.size());
+          for (std::size_t i = 0; i < batch.size(); ++i)
+            expect_identical(reference.match(*map, batch[i]), results[i], "batch item");
+        }
       }
     }
   }

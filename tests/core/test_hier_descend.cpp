@@ -5,7 +5,10 @@
 // faces_examined may differ (it honestly counts rescored faces).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -16,10 +19,14 @@
 #include "core/facemap_cache.hpp"
 #include "core/hier_facemap.hpp"
 #include "core/matcher.hpp"
+#include "core/sampling_vector.hpp"
 #include "core/signature_index.hpp"
 #include "core/tracker.hpp"
 #include "net/deployment.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rf/uncertainty.hpp"
+#include "serve/workload.hpp"
+#include "sim/scenario_build.hpp"
 
 namespace fttt {
 namespace {
@@ -135,21 +142,28 @@ TEST(HierDescend, ExactSignatureVectorsTieBreakLikeTheSpec) {
 TEST(HierDescend, BatchMatchRoutesThroughDescentAboveAndBelowParallelCutoff) {
   const auto map = build_map(contract_deployments(8, 29).front());
   BatchMatcher flat(map);
+  // This map sits below the default fan-out threshold, so `hier` runs
+  // every batch on the caller; `fanned` fans every multi-vector batch out
+  // over the pool. Both resolve through per-slot descent scratch.
   BatchMatcher hier(map);
   hier.build_hierarchy();
+  BatchMatcher::Config fan_out;
+  fan_out.min_cells_per_helper = 1;
+  BatchMatcher fanned(map, fan_out);
+  fanned.attach_hierarchy(hier.shared_hierarchy(), hier.shared_index());
   RngStream rng(71);
-  // 64 vectors crosses Config::min_parallel_batch (16): both the serial
-  // and the pool fan-out path resolve through per-slot descent scratch.
   for (const std::size_t batch_size : {std::size_t{3}, std::size_t{64}}) {
     std::vector<SamplingVector> batch;
     for (std::size_t i = 0; i < batch_size; ++i)
       batch.push_back(noisy_vector(*map, rng, i % 3 == 0));
     batch.front() = all_star_vector(*map);
     const std::vector<MatchResult> expect = flat.match(batch);
-    const std::vector<MatchResult> got = hier.match(batch);
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-      expect_argmax_identical(expect[i], got[i], "batch item");
+    for (const BatchMatcher* m : {&hier, &fanned}) {
+      const std::vector<MatchResult> got = m->match(batch);
+      ASSERT_EQ(got.size(), expect.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        expect_argmax_identical(expect[i], got[i], "batch item");
+    }
   }
 }
 
@@ -268,6 +282,168 @@ TEST(HierDescend, HierarchicalTrackerMatchesFlatTrackerExactly) {
     EXPECT_EQ(a.position.y, b.position.y);
   }
   EXPECT_GT(flat.stats().fallbacks, 0u);
+}
+
+/// Random N-node roster on the serving shape of the benchmark's churn
+/// workload: 100 x 100 m field, 1 m grid, bounded channel (at N = 64 the
+/// tier has two levels, so child expansions run, not just tile rescores).
+struct ServeShape {
+  ScenarioConfig scenario;
+  ResolvedChannel channel;
+  Deployment roster;
+};
+
+ServeShape serve_shape(std::size_t sensors, std::uint64_t seed) {
+  ServeShape s;
+  s.scenario.channel = Channel::kBounded;
+  s.scenario.grid_cell = 1.0;
+  s.scenario.seed = seed;
+  s.channel = resolve_channel(s.scenario);
+  RngStream rng(seed);
+  s.roster = random_deployment(s.scenario.field, sensors, rng);
+  return s;
+}
+
+/// Basic-mode vectors of served frames: SyntheticWorkload tracks with 20%
+/// report dropout, built as the serve shard builds them.
+std::vector<SamplingVector> served_vectors(const ServeShape& s, std::size_t tracks,
+                                           std::size_t epochs) {
+  SyntheticWorkload::Config cfg;
+  cfg.tracks = tracks;
+  cfg.drop_probability = 0.2;
+  cfg.sampling = scenario_sampling(s.scenario, s.channel);
+  const SyntheticWorkload source(s.roster, s.scenario.field, cfg, s.scenario.seed);
+  std::vector<SamplingVector> out;
+  for (std::uint64_t e = 0; e < epochs; ++e)
+    for (TrackId t = 0; t < tracks; ++t)
+      out.push_back(build_sampling_vector(source.frame(t, e).group, s.scenario.eps,
+                                          VectorMode::kBasic, s.scenario.missing));
+  return out;
+}
+
+TEST(HierDescend, DifferentialAgainstFlatAndSpecOnServedRosters) {
+  // descend == match_one (flat) == ExhaustiveMatcher on every argmax
+  // field, single and batch, at 1 and 4 pool threads. Inputs: served
+  // frames with dropout, all-'*', all-0, and the last face's signature
+  // (its tile is the partial last one) with and without flips.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const ExhaustiveMatcher spec;
+  for (const std::size_t sensors : {std::size_t{32}, std::size_t{64}}) {
+    const ServeShape shape = serve_shape(sensors, 9100 + sensors);
+    FaceMapBuilder builder(shape.roster, shape.channel.C, shape.scenario.field,
+                           shape.scenario.grid_cell, four);
+    const auto map = std::make_shared<const FaceMap>(builder.build());
+    const auto hier = std::make_shared<const HierFaceMap>(builder.build_hierarchy());
+    const auto table = std::make_shared<const SignatureTable>(builder.take_signature_table());
+    const auto index = std::make_shared<const SignatureIndex>(SignatureIndex::build(*hier));
+    ASSERT_NE(map->face_count() % HierFaceMap::kTileFaces, 0u) << "no partial last tile";
+    if (sensors == 64) ASSERT_GE(hier->level_count(), 2u) << "no child expansion";
+
+    std::vector<SamplingVector> vectors = served_vectors(shape, 6, 2);
+    vectors.push_back(all_star_vector(*map));
+    SamplingVector zeros;
+    zeros.value.assign(map->dimension(), 0.0);
+    zeros.known.assign(map->dimension(), true);
+    vectors.push_back(zeros);
+    SamplingVector last;
+    last.known.assign(map->dimension(), true);
+    for (SigValue v : map->faces().back().signature) last.value.push_back(static_cast<double>(v));
+    vectors.push_back(last);
+    RngStream rng(sensors);
+    for (int i = 0; i < 2; ++i) {
+      SamplingVector flipped = last;
+      for (int f = 0; f < 3; ++f)
+        flipped.value[rng.uniform_index(flipped.dimension())] =
+            static_cast<double>(static_cast<int>(rng.uniform_index(3)) - 1);
+      vectors.push_back(flipped);
+    }
+
+    std::vector<MatchResult> want;
+    for (const SamplingVector& vd : vectors) want.push_back(spec.match(*map, vd));
+    EXPECT_EQ(want[vectors.size() - 3].face, map->face_count() - 1);
+
+    for (ThreadPool* pool : {&one, &four}) {
+      BatchMatcher flat(map, table, BatchMatcher::Config{}, *pool);
+      BatchMatcher tiered(map, table, BatchMatcher::Config{}, *pool);
+      tiered.attach_hierarchy(hier, index);
+      for (std::size_t i = 0; i < vectors.size(); ++i) {
+        expect_argmax_identical(want[i], flat.match_one(vectors[i]), "flat match_one");
+        expect_argmax_identical(want[i], tiered.descend(vectors[i]), "descend");
+      }
+      const std::vector<MatchResult> flat_batch = flat.match(vectors);
+      const std::vector<MatchResult> tiered_batch = tiered.match(vectors);
+      ASSERT_EQ(tiered_batch.size(), vectors.size());
+      for (std::size_t i = 0; i < vectors.size(); ++i) {
+        expect_argmax_identical(want[i], flat_batch[i], "flat batch");
+        expect_argmax_identical(want[i], tiered_batch[i], "descend batch");
+      }
+    }
+  }
+}
+
+TEST(HierDescend, IntegralKernelsStayExactAcrossTheUint16Flush) {
+  // The kernels sum in 16-bit lanes and flush every kIntFlushPlanes
+  // planes; a deployment whose tile mixes that many planes is far too
+  // large to build here, so drive the kernels directly, on both sides of
+  // the flush and with every term at its maximum of 4 (so an unflushed
+  // lane would wrap past 65535).
+  using detail::kIntFlushPlanes;
+  using detail::kIntLanes;
+  std::array<std::array<SigValue, kIntLanes>, 3> rows{};
+  std::array<std::array<std::uint8_t, kIntLanes>, 3> masks{};
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t k = 0; k < kIntLanes; ++k) {
+      rows[r][k] = static_cast<SigValue>(static_cast<int>((k + r) % 3) - 1);
+      masks[r][k] = static_cast<std::uint8_t>((5 * k + r) % 8);
+    }
+  std::array<SigValue, kIntLanes> minus{};
+  minus.fill(-1);
+  std::array<std::uint8_t, kIntLanes> plus_only{};
+  plus_only.fill(HierFaceMap::kHasPlus);
+
+  for (const bool worst : {false, true}) {
+    for (const std::size_t count : {kIntFlushPlanes - 1, kIntFlushPlanes, kIntFlushPlanes + 1,
+                                    2 * kIntFlushPlanes + 7}) {
+      std::vector<const SigValue*> planes(count);
+      std::vector<const std::uint8_t*> mask_rows(count);
+      std::vector<std::uint8_t> codes(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        // worst: v = +1 against -1 (square term 4), v = -1 against a
+        // node holding only +1 (min term 4).
+        planes[i] = worst ? minus.data() : rows[i % 3].data();
+        mask_rows[i] = worst ? plus_only.data() : masks[(i / 3) % 3].data();
+        codes[i] = worst ? std::uint8_t{2} : static_cast<std::uint8_t>((i * 7 / 5) % 3);
+      }
+      std::array<std::uint64_t, kIntLanes> want_sq{};
+      std::array<std::uint64_t, kIntLanes> want_min{};
+      for (std::size_t k = 0; k < kIntLanes; ++k) {
+        want_sq[k] = want_min[k] = 7;  // a nonzero base, as the descent passes
+        for (std::size_t i = 0; i < count; ++i) {
+          const int d = static_cast<int>(codes[i]) - 1 - planes[i][k];
+          want_sq[k] += static_cast<std::uint64_t>(d * d);
+          const std::uint8_t code = worst ? std::uint8_t{0} : codes[i];
+          want_min[k] += HierFaceMap::kIntMinTerm[code][mask_rows[i][k]];
+        }
+      }
+      if (worst) {
+        ASSERT_EQ(want_sq[0], 7 + 4 * count);
+        ASSERT_EQ(want_min[0], 7 + 4 * count);
+      }
+      std::array<std::uint32_t, kIntLanes> sq{};
+      sq.fill(7);
+      detail::add_square_terms(planes.data(), codes.data(), count, sq.data());
+      std::vector<std::uint8_t> min_codes = codes;
+      if (worst) std::fill(min_codes.begin(), min_codes.end(), std::uint8_t{0});
+      std::array<std::uint32_t, kIntLanes> mins{};
+      mins.fill(7);
+      detail::add_min_terms(mask_rows.data(), min_codes.data(), count, mins.data());
+      for (std::size_t k = 0; k < kIntLanes; ++k) {
+        EXPECT_EQ(sq[k], want_sq[k]) << "square terms, " << count << " planes, lane " << k;
+        EXPECT_EQ(mins[k], want_min[k]) << "min terms, " << count << " planes, lane " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -27,6 +27,14 @@ std::shared_ptr<const FaceMap> make_map() {
   return std::make_shared<const FaceMap>(FaceMap::build(nodes, C, kField, 1.0));
 }
 
+/// Fan out every multi-vector batch: these maps sit far below the
+/// default min_cells_per_helper, and the fan-out is what is under test.
+BatchMatcher::Config fan_out() {
+  BatchMatcher::Config c;
+  c.min_cells_per_helper = 1;
+  return c;
+}
+
 std::vector<SamplingVector> make_batch(const FaceMap& map, std::size_t n,
                                        std::uint64_t seed) {
   RngStream rng(seed);
@@ -62,9 +70,9 @@ TEST(BatchMatcherParallel, IdenticalResultsAcrossThreadCounts) {
   ThreadPool one(1);
   ThreadPool two(2);
   ThreadPool eight(8);
-  const auto r1 = BatchMatcher(map, {}, one).match(batch);
-  const auto r2 = BatchMatcher(map, {}, two).match(batch);
-  const auto r8 = BatchMatcher(map, {}, eight).match(batch);
+  const auto r1 = BatchMatcher(map, fan_out(), one).match(batch);
+  const auto r2 = BatchMatcher(map, fan_out(), two).match(batch);
+  const auto r8 = BatchMatcher(map, fan_out(), eight).match(batch);
   expect_equal_results(r1, r2);
   expect_equal_results(r1, r8);
 
@@ -82,7 +90,7 @@ TEST(BatchMatcherParallel, StoppedPoolFallsBackToCaller) {
   const auto map = make_map();
   ThreadPool pool(4);
   pool.shutdown();
-  const BatchMatcher matcher(map, {}, pool);
+  const BatchMatcher matcher(map, fan_out(), pool);
   const std::vector<SamplingVector> batch = make_batch(*map, 64, 9);
   const auto results = matcher.match(batch);
   const ExhaustiveMatcher reference;
@@ -95,7 +103,7 @@ TEST(BatchMatcherParallel, ConcurrentMatchCallsAreIndependent) {
   // sharing one matcher (and one pool) must not interfere.
   const auto map = make_map();
   ThreadPool pool(4);
-  const BatchMatcher matcher(map, {}, pool);
+  const BatchMatcher matcher(map, fan_out(), pool);
   const ExhaustiveMatcher reference;
 
   std::vector<std::vector<SamplingVector>> batches;

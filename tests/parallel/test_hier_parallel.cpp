@@ -30,6 +30,14 @@ std::shared_ptr<const FaceMap> make_map() {
   return std::make_shared<const FaceMap>(FaceMap::build(nodes, C, kField, 1.0));
 }
 
+/// Fan out every multi-vector batch: these maps sit far below the
+/// default min_cells_per_helper, and the fan-out is what is under test.
+BatchMatcher::Config fan_out() {
+  BatchMatcher::Config c;
+  c.min_cells_per_helper = 1;
+  return c;
+}
+
 std::vector<SamplingVector> make_batch(const FaceMap& map, std::size_t n,
                                        std::uint64_t seed) {
   RngStream rng(seed);
@@ -56,7 +64,7 @@ TEST(HierParallel, BatchDescentIdenticalAcrossThreadCounts) {
   ThreadPool two(2);
   ThreadPool eight(8);
   const auto run = [&](ThreadPool& pool) {
-    BatchMatcher matcher(map, {}, pool);
+    BatchMatcher matcher(map, fan_out(), pool);
     matcher.build_hierarchy();
     return matcher.match(batch);
   };
@@ -115,7 +123,7 @@ TEST(HierParallel, ConcurrentDescentsShareOneTierRaceFree) {
 TEST(HierParallel, ConcurrentBatchCallsOnOneHierMatcher) {
   const auto map = make_map();
   ThreadPool pool(4);
-  BatchMatcher matcher(map, BatchMatcher::Config{}, pool);
+  BatchMatcher matcher(map, fan_out(), pool);
   matcher.build_hierarchy();
 
   std::vector<std::vector<SamplingVector>> batches;
