@@ -16,7 +16,10 @@
 // `batch_soa_noisy` / `hier_noisy` rows at N <= 64 time the same two
 // engines on SyntheticWorkload frames (bounded channel, 20% report
 // dropout, built as the serve shard builds them), so `speedup_vs_batch`
-// on `hier_noisy` is what the descent buys live traffic.
+// on `hier_noisy` is what the descent buys live traffic. The batch
+// fan-out hides the single descent's own fan-out, so `hier_noisy_single`
+// at N = 32 and 64 times the same frames one match_one() at a time — the
+// shape of a cold serve frame, whose candidate rescore fans out itself.
 //
 //   bench_perf_largeN [--fast] [--json PATH] [--threads N]
 //
@@ -208,6 +211,7 @@ int main(int argc, char** argv) {
           sink = acc;
         }},
     };
+    const bool single = noisy && sensors >= 32;
     if (noisy) {
       variants.push_back({[&] {
         double acc = 0.0;
@@ -217,6 +221,13 @@ int main(int argc, char** argv) {
       variants.push_back({[&] {
         double acc = 0.0;
         for (const MatchResult& m : e.hier.match(noisy_work)) acc += m.similarity;
+        sink = acc;
+      }});
+    }
+    if (single) {
+      variants.push_back({[&] {
+        double acc = 0.0;
+        for (const SamplingVector& vd : noisy_work) acc += e.hier.match_one(vd).similarity;
         sink = acc;
       }});
     }
@@ -241,6 +252,11 @@ int main(int argc, char** argv) {
       bench.add({"batch_soa_noisy", sensors, threads, flat_noisy});
       bench.add({"hier_noisy", sensors, threads, hier_noisy,
                  {{"speedup_vs_batch", flat_noisy.median / hier_noisy.median}}});
+      if (single) {
+        const bench::SampleStats one = t[5].per(static_cast<double>(noisy_work.size()));
+        bench.add({"hier_noisy_single", sensors, threads, one,
+                   {{"speedup_vs_batch", flat_noisy.median / one.median}}});
+      }
     }
   }
   return bench.finish({{"field", 100.0}, {"cell", cell}});

@@ -89,6 +89,12 @@ static_assert(HierFaceMap::kTileFaces == kIntLanes && HierFaceMap::kFanout == kI
 /// kIntMinTerm row), kUnknownCode for '*'.
 constexpr std::uint8_t kUnknownCode = 3;
 
+/// Faces of level-0 tile `tile` (the last tile may be partial).
+std::size_t tile_width(std::size_t faces, std::uint32_t tile) {
+  const std::size_t f0 = static_cast<std::size_t>(tile) * HierFaceMap::kTileFaces;
+  return std::min(faces, f0 + HierFaceMap::kTileFaces) - f0;
+}
+
 }  // namespace
 
 namespace detail {
@@ -165,9 +171,9 @@ void add_min_terms(const std::uint8_t* const* masks, const std::uint8_t* codes,
 }  // namespace detail
 
 /// Reusable per-worker state of one descent: the best-first frontier,
-/// child-bound staging, the rescored (face, similarity) pairs, and one
-/// tile of accumulators. Kept out of the header so HierFaceMap stays a
-/// forward declaration there.
+/// child-bound staging, the rescored tiles and their similarity rows, and
+/// one expansion's integral staging. Kept out of the header so
+/// HierFaceMap stays a forward declaration there.
 struct BatchMatcher::DescentScratch {
   struct Node {
     double bound;         ///< conservative lower bound on distance^2
@@ -177,8 +183,12 @@ struct BatchMatcher::DescentScratch {
 
   std::vector<Node> heap;
   std::vector<double> bounds;  ///< child bounds of one expansion
-  std::vector<std::pair<FaceId, double>> scored;
-  std::array<double, kIntLanes> acc;
+  /// The tiles to rescore: the seed first, then the candidates in pop
+  /// order. rows holds kIntLanes similarities per tile, in that order;
+  /// order is the tiles' ascending-id permutation for the selection.
+  std::vector<Node> tiles;
+  std::vector<double> rows;
+  std::vector<std::uint32_t> order;
   std::array<std::uint32_t, kIntLanes> acc32;
   /// Integral path: each component's code (v + 1, or kUnknownCode for
   /// '*'), built once per vector, and one expansion's live planes — the
@@ -187,7 +197,79 @@ struct BatchMatcher::DescentScratch {
   std::vector<const SigValue*> live_planes;
   std::vector<const std::uint8_t*> live_masks;
   std::vector<std::uint8_t> live_codes;
+
+  /// One integral expansion of node `nd`: hand each known plane among
+  /// `planes` to `live` (which stages its row for a kernel), stage its
+  /// code, and return nd.bound minus those planes' node minima — the
+  /// kIntMinTerm entries HierFaceMap's bound kernel summed into it. On
+  /// every other plane each covered face (or child) pays exactly the
+  /// node's minimum, so what remains is their exact shared base.
+  template <typename Live>
+  std::uint32_t collect(const HierFaceMap& hier, const std::uint8_t* codes,
+                        std::span<const std::uint32_t> planes, const Node& nd,
+                        Live&& live) {
+    auto base = static_cast<std::uint32_t>(nd.bound);
+    FTTT_DCHECK(static_cast<double>(base) == nd.bound,
+                "integral node bound is not integer: ", nd.bound);
+    live_codes.clear();
+    for (const std::uint32_t c : planes) {
+      const std::uint8_t code_c = codes[c];
+      if (code_c == kUnknownCode) continue;
+      base -= HierFaceMap::kIntMinTerm[code_c][hier.mask(nd.level, c, nd.id)];
+      live_codes.push_back(code_c);
+      live(c);
+    }
+    return base;
+  }
 };
+
+namespace {
+
+/// Chunk claims of one pool fan-out. Every participant — helper tasks
+/// and the caller — claims chunk indices from `next` and counts finished
+/// ones in `done`; the caller's wait() orders every claimed chunk's
+/// writes before it returns. Helper tasks may outlive the call (they
+/// exit as soon as every chunk is claimed), so the owning state is
+/// reference-counted and touches caller-owned data only inside a claim.
+struct Claims {
+  std::size_t chunks{0};
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> done{0};
+
+  template <typename Body>
+  void run(Body&& body) {
+    for (;;) {
+      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      body(c);
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) done.notify_all();
+    }
+  }
+
+  void wait() {
+    std::size_t d = done.load(std::memory_order_acquire);
+    while (d < chunks) {
+      done.wait(d, std::memory_order_acquire);
+      d = done.load(std::memory_order_acquire);
+    }
+    // Each chunk is claimed once and completes once; a chunk run twice
+    // would count past `chunks` before the caller got here.
+    FTTT_DCHECK(d == chunks, "fan-out completed ", d, " chunk runs for ", chunks, " chunks");
+  }
+};
+
+/// Submit `helpers` tasks that run state->run(slot), slot 0 .. helpers-1,
+/// in one bulk submission, take part with the last slot, and wait for
+/// every chunk. A rejected submission (pool concurrently shut down) is
+/// harmless: the caller then claims every chunk itself.
+template <typename State>
+void fan_out(ThreadPool& pool, const std::shared_ptr<State>& state, std::size_t helpers) {
+  (void)pool.submit_range(helpers, [state](std::size_t slot) { state->run(slot); });
+  state->run(helpers);
+  state->claims.wait();
+}
+
+}  // namespace
 
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
                            ThreadPool& pool)
@@ -346,12 +428,73 @@ MatchResult BatchMatcher::descend(const SamplingVector& vd) const {
   require_dimension(vd);
   DescentScratch ds;
   MatchResult r;
-  descend_into(vd, ds, r);
+  descend_into(vd, ds, r, /*may_fan_out=*/true);
   return r;
 }
 
+void BatchMatcher::rescore_tile(const SamplingVector& vd, const std::uint8_t* code,
+                                std::uint32_t tile, double bound, DescentScratch& stage,
+                                double* row) const {
+  const std::size_t f0 = static_cast<std::size_t>(tile) * HierFaceMap::kTileFaces;
+  if (code) {
+    // The tile bound summed min terms over *all* known planes; pure
+    // planes' minima are the exact terms every covered face pays, so
+    // subtracting the mixed minima leaves the exact shared base, and
+    // only the mixed planes need the per-face kernel. A tile is one
+    // padding block of the table, so the kernel's 64 lanes stay inside
+    // the plane even on the partial last tile (pad columns hold 0).
+    stage.live_planes.clear();
+    stage.acc32.fill(stage.collect(*hier_, code, index_->mixed_planes(tile),
+                                   {bound, 0, tile}, [&](std::uint32_t c) {
+                                     stage.live_planes.push_back(table_->plane(c) + f0);
+                                   }));
+    detail::add_square_terms(stage.live_planes.data(), stage.live_codes.data(),
+                             stage.live_planes.size(), stage.acc32.data());
+    for (std::size_t k = 0; k < kIntLanes; ++k)
+      row[k] = 1.0 / std::sqrt(static_cast<double>(stage.acc32[k]));
+    return;
+  }
+  // Extended-mode vectors: the flat segment kernels, restricted to this
+  // tile — identical per-face operation sequence, so identical
+  // similarities.
+  const std::size_t width = tile_width(table_->face_count(), tile);
+  std::fill_n(row, width, 0.0);
+  for (std::size_t c = 0; c < table_->dimension(); ++c) {
+    if (!vd.known[c]) continue;
+    accumulate_plane(row, table_->plane(c) + f0, vd.value[c], width);
+  }
+  similarity_in_place(row, width);
+}
+
+/// Shared bookkeeping of one descent's candidate rescore fan-out: tile
+/// i of `tiles` (1 <= i <= n; tile 0 is the seed, already rescored)
+/// lands in row i of `rows`. The caller-owned pointers are dereferenced
+/// only inside a claimed chunk (see Claims).
+struct BatchMatcher::RescoreState {
+  const BatchMatcher* matcher{nullptr};
+  const SamplingVector* vd{nullptr};
+  const std::uint8_t* code{nullptr};  ///< null on extended-mode vectors
+  const DescentScratch::Node* tiles{nullptr};
+  double* rows{nullptr};
+  std::size_t n{0};
+  std::size_t chunk_size{0};
+  /// stage[slot] is owned by task `slot` (the caller uses the last).
+  std::vector<DescentScratch> stage;
+  Claims claims;
+
+  void run(std::size_t slot) {
+    claims.run([&](std::size_t c) {
+      const std::size_t lo = std::min(n, c * chunk_size) + 1;
+      const std::size_t hi = std::min(n, c * chunk_size + chunk_size) + 1;
+      for (std::size_t i = lo; i < hi; ++i)
+        matcher->rescore_tile(*vd, code, tiles[i].id, tiles[i].bound, stage[slot],
+                              rows + i * kIntLanes);
+    });
+  }
+};
+
 void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
-                                MatchResult& out) const {
+                                MatchResult& out, bool may_fan_out) const {
   FTTT_DCHECK(vd.dimension() == table_->dimension(),
               "sampling vector dimension ", vd.dimension(),
               " != face-map dimension ", table_->dimension());
@@ -379,28 +522,7 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
     }
     ds.code[c] = static_cast<std::uint8_t>(static_cast<int>(v) + 1);
   }
-
-  // One integral expansion of node `nd`: hand each known plane among
-  // `planes` to `live` (which stages its row for a kernel), stage its
-  // code, and return nd.bound minus those planes' node minima — the
-  // kIntMinTerm entries HierFaceMap's bound kernel summed into it. On
-  // every other plane each covered face (or child) pays exactly the
-  // node's minimum, so what remains is their exact shared base.
-  const auto collect = [&](std::span<const std::uint32_t> planes,
-                           const DescentScratch::Node& nd, auto&& live) {
-    auto base = static_cast<std::uint32_t>(nd.bound);
-    FTTT_DCHECK(static_cast<double>(base) == nd.bound,
-                "integral node bound is not integer: ", nd.bound);
-    ds.live_codes.clear();
-    for (const std::uint32_t c : planes) {
-      const std::uint8_t code = ds.code[c];
-      if (code == kUnknownCode) continue;
-      base -= HierFaceMap::kIntMinTerm[code][hier.mask(nd.level, c, nd.id)];
-      ds.live_codes.push_back(code);
-      live(c);
-    }
-    return base;
-  };
+  const std::uint8_t* code = integral ? ds.code.data() : nullptr;
 
   // Min-heap on (bound, level, id): the bound orders the best-first
   // search, the (level, id) tail makes the pop sequence a total order —
@@ -412,7 +534,7 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
     return a.id > b.id;
   };
   ds.heap.clear();
-  ds.scored.clear();
+  ds.tiles.clear();
 
   const std::uint32_t top = static_cast<std::uint32_t>(hier.level_count() - 1);
   {
@@ -425,7 +547,15 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
     }
   }
 
-  double s_best = -1.0;  // the spec's chain seed (matcher.cpp)
+  // Serial phase: pop best-first, expand upper nodes, and rescore the
+  // first tile reached — the seed. Its best similarity s0 is one the
+  // spec's scan attains, so the final maximum is at least s0, and any
+  // node whose ceiling falls strictly below s0 holds no face that can
+  // reach the maximum or tie it. From then on every popped tile whose
+  // ceiling is not below s0 is a candidate, and the first node below s0
+  // ends the search: the heap holds only nodes with larger bounds. The
+  // candidate set depends on the vector alone, never on the thread count.
+  double s0 = -1.0;  // the spec's chain seed (matcher.cpp)
   std::size_t pruned = 0;
   while (!ds.heap.empty()) {
     std::pop_heap(ds.heap.begin(), ds.heap.end(), later);
@@ -437,13 +567,11 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
     // hier_facemap.hpp), so its similarity is at most 1/sqrt(bound).
     // Pruning compares at the *similarity* level and strictly — two
     // distinct distances can round to the equal similarity, and a face
-    // tied with the running maximum must never be dropped. A zero bound
-    // (all-'*' vector, or a tile containing a perfect match) yields
-    // +inf, which never prunes.
+    // tied with the maximum must never be dropped. A zero bound (all-'*'
+    // vector, or a tile containing a perfect match) yields +inf, which
+    // never prunes.
     const double ceiling = 1.0 / std::sqrt(nd.bound);
-    if (ceiling < s_best) {
-      // The heap holds only nodes with bounds >= nd.bound: everything
-      // left is beneath the running maximum too.
+    if (ceiling < s0) {
       pruned = ds.heap.size() + 1;
       break;
     }
@@ -465,9 +593,10 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
         // mask rows are padded to kFanout (pad masks 0), so the kernel
         // reads all 64 lanes of a node's last, partial child range too.
         ds.live_masks.clear();
-        ds.acc32.fill(collect(index.varying_planes(nd.level, nd.id), nd, [&](std::uint32_t c) {
-          ds.live_masks.push_back(hier.plane(nd.level - 1, c) + lo);
-        }));
+        ds.acc32.fill(ds.collect(hier, code, index.varying_planes(nd.level, nd.id), nd,
+                                 [&](std::uint32_t c) {
+                                   ds.live_masks.push_back(hier.plane(nd.level - 1, c) + lo);
+                                 }));
         detail::add_min_terms(ds.live_masks.data(), ds.live_codes.data(),
                               ds.live_masks.size(), ds.acc32.data());
         for (std::size_t j = 0; j < n; ++j)
@@ -483,70 +612,98 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
       continue;
     }
 
-    // Level 0: exact rescore of the tile's face segment.
-    const std::size_t f0 = static_cast<std::size_t>(nd.id) * HierFaceMap::kTileFaces;
-    const std::size_t width = std::min(faces, f0 + HierFaceMap::kTileFaces) - f0;
+    ds.tiles.push_back(nd);
+    if (ds.tiles.size() > 1) continue;
+    ds.rows.resize(kIntLanes);
+    rescore_tile(vd, code, nd.id, nd.bound, ds, ds.rows.data());
+    for (std::size_t k = 0; k < tile_width(faces, nd.id); ++k) s0 = std::max(s0, ds.rows[k]);
+  }
+
+  // Parallel phase: rescore every candidate into its own row. Fan out
+  // only as far as the work pays — one helper per min_cells_per_helper
+  // cells, the work counted as candidates x known mixed planes x 64
+  // lanes (the mixed planes scaled by the vector's known share) — never
+  // from a descent that is itself one vector of a fanned-out batch, and
+  // never so far that runnable threads outnumber the pool: a caller
+  // that is one of its workers adds at most workers - 1 helpers, any
+  // other caller at most workers.
+  FTTT_DCHECK(!ds.tiles.empty(), "descent reached no tile");
+  const std::size_t n = ds.tiles.size() - 1;
+  ds.rows.resize(ds.tiles.size() * kIntLanes);
+  std::size_t helpers = 0;
+  std::size_t chunks = 0;
+  if (may_fan_out && n > 1 && !pool_->stopped()) {
+    const std::size_t workers = pool_->thread_count();
+    const std::size_t budget = pool_->is_worker_thread() ? workers - 1 : workers;
+    const std::size_t known = dim - vd.unknown_count();
+    std::size_t planes = n * known;
     if (integral) {
-      // The tile bound summed min terms over *all* known planes; pure
-      // planes' minima are the exact terms every covered face pays, so
-      // subtracting the mixed minima leaves the exact shared base, and
-      // only the mixed planes need the per-face kernel. A tile is one
-      // padding block of the table, so the kernel's 64 lanes stay inside
-      // the plane even on the partial last tile (pad columns hold 0).
-      ds.live_planes.clear();
-      ds.acc32.fill(collect(index.mixed_planes(nd.id), nd, [&](std::uint32_t c) {
-        ds.live_planes.push_back(table_->plane(c) + f0);
-      }));
-      detail::add_square_terms(ds.live_planes.data(), ds.live_codes.data(),
-                               ds.live_planes.size(), ds.acc32.data());
-      for (std::size_t k = 0; k < kIntLanes; ++k)
-        ds.acc[k] = 1.0 / std::sqrt(static_cast<double>(ds.acc32[k]));
-    } else {
-      // Extended-mode vectors: the flat segment kernels, restricted to
-      // this tile — identical per-face operation sequence, so identical
-      // similarities.
-      std::fill_n(ds.acc.data(), width, 0.0);
-      for (std::size_t c = 0; c < dim; ++c) {
-        if (!vd.known[c]) continue;
-        accumulate_plane(ds.acc.data(), table_->plane(c) + f0, vd.value[c], width);
-      }
-      similarity_in_place(ds.acc.data(), width);
+      std::size_t mixed = 0;
+      for (std::size_t i = 1; i <= n; ++i) mixed += index.mixed_planes(ds.tiles[i].id).size();
+      planes = mixed * known / dim;
     }
-    for (std::size_t k = 0; k < width; ++k) {
-      const double s = ds.acc[k];
-      ds.scored.emplace_back(static_cast<FaceId>(f0 + k), s);
-      if (s > s_best) s_best = s;
-    }
+    chunks = std::min(n, (budget + 1) * 4);
+    helpers = std::min({budget, chunks - 1,
+                        planes * kIntLanes / config_.min_cells_per_helper});
+  }
+  if (helpers == 0) {
+    for (std::size_t i = 1; i <= n; ++i)
+      rescore_tile(vd, code, ds.tiles[i].id, ds.tiles[i].bound, ds,
+                   ds.rows.data() + i * kIntLanes);
+  } else {
+    auto state = std::make_shared<RescoreState>();
+    state->matcher = this;
+    state->vd = &vd;
+    state->code = code;
+    state->tiles = ds.tiles.data();
+    state->rows = ds.rows.data();
+    state->n = n;
+    state->chunk_size = (n + chunks - 1) / chunks;
+    state->stage.resize(helpers + 1);
+    state->claims.chunks = chunks;
+    fan_out(*pool_, state, helpers);
+    FTTT_OBS_COUNT("matcher.index.helpers", helpers);
+  }
+
+  // Selection: replay the spec's chain (max, then ties, ascending face
+  // ids) over the rescored tiles in ascending tile order — tiles are
+  // face-id ranges, so that is ascending face order. Any face not
+  // rescored is strictly beneath s0, hence beneath the maximum.
+  ds.order.resize(ds.tiles.size());
+  for (std::size_t i = 0; i < ds.order.size(); ++i) ds.order[i] = static_cast<std::uint32_t>(i);
+  std::sort(ds.order.begin(), ds.order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return ds.tiles[a].id < ds.tiles[b].id;
+  });
+  out = MatchResult{};
+  double best = -1.0;
+  std::size_t examined = 0;
+  for (const std::uint32_t i : ds.order) {
+    const double* row = ds.rows.data() + static_cast<std::size_t>(i) * kIntLanes;
+    const std::size_t width = tile_width(faces, ds.tiles[i].id);
+    examined += width;
+    for (std::size_t k = 0; k < width; ++k)
+      if (row[k] > best) best = row[k];
+  }
+  out.similarity = best;
+  out.faces_examined = examined;
+  for (const std::uint32_t i : ds.order) {
+    const double* row = ds.rows.data() + static_cast<std::size_t>(i) * kIntLanes;
+    const std::size_t f0 = static_cast<std::size_t>(ds.tiles[i].id) * HierFaceMap::kTileFaces;
+    for (std::size_t k = 0; k < tile_width(faces, ds.tiles[i].id); ++k)
+      if (row[k] == best) out.tied_faces.push_back(static_cast<FaceId>(f0 + k));
   }
 
   FTTT_OBS_COUNT("matcher.index.descents", 1);
-  FTTT_OBS_COUNT("matcher.index.scored_faces", ds.scored.size());
+  FTTT_OBS_COUNT("matcher.index.candidates", n);
+  FTTT_OBS_COUNT("matcher.index.scored_faces", examined);
   FTTT_OBS_COUNT("matcher.index.pruned_subtrees", pruned);
-  if (ds.scored.size() == faces) FTTT_OBS_COUNT("matcher.index.full_scans", 1);
-
-  // Replay the spec's selection chain (max, then ties, ascending face
-  // ids) over the rescored faces. Any face the descent never rescored
-  // is strictly beneath the maximum by the pruning rule, so the chain's
-  // outcome over this subset equals its outcome over all faces.
-  std::sort(ds.scored.begin(), ds.scored.end(),
-            [](const std::pair<FaceId, double>& a,
-               const std::pair<FaceId, double>& b) { return a.first < b.first; });
-  out = MatchResult{};
-  out.faces_examined = ds.scored.size();
-  double best = -1.0;
-  for (const auto& [f, s] : ds.scored)
-    if (s > best) best = s;
-  out.similarity = best;
-  for (const auto& [f, s] : ds.scored)
-    if (s == best) out.tied_faces.push_back(f);
+  if (examined == faces) FTTT_OBS_COUNT("matcher.index.full_scans", 1);
   detail::finalize_match(*map_, out);
 }
 
-/// Shared bookkeeping of one batch fan-out. Bulk tasks may outlive the
-/// match() call (they exit as soon as every chunk is claimed), so the
-/// state is reference-counted and the matcher/batch/results pointers are
-/// only dereferenced while a successfully claimed chunk is in flight —
-/// which the caller's completion wait orders before return.
+/// Shared bookkeeping of one batch fan-out: chunk c localizes a
+/// contiguous range of the batch. The matcher/batch/results pointers are
+/// dereferenced only inside a claimed chunk (see Claims).
 struct BatchMatcher::BatchState {
   const BatchMatcher* matcher{nullptr};
   const std::vector<SamplingVector>* batch{nullptr};
@@ -557,7 +714,6 @@ struct BatchMatcher::BatchState {
   /// Descent routing, snapshotted for the same reason: reading it
   /// through `matcher` outside a claimed chunk would race destruction.
   bool hier{false};
-  std::size_t chunks{0};
   std::size_t chunk_size{0};
   /// scratch[slot] / descent[slot] is owned by bulk task `slot` (the
   /// caller uses the last slot); a task runs on exactly one worker, so
@@ -565,24 +721,22 @@ struct BatchMatcher::BatchState {
   /// fills descent — never both.
   std::vector<std::vector<double>> scratch;
   std::vector<DescentScratch> descent;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
+  Claims claims;
 
   void run(std::size_t slot) {
-    for (;;) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return;
+    claims.run([&](std::size_t c) {
       const std::size_t lo = std::min(n, c * chunk_size);
       const std::size_t hi = std::min(n, lo + chunk_size);
       for (std::size_t i = lo; i < hi; ++i) {
+        // One vector of a fanned-out batch: its descent stays on this
+        // thread, the batch already holds the pool.
         if (hier)
-          matcher->descend_into((*batch)[i], descent[slot], results[i]);
+          matcher->descend_into((*batch)[i], descent[slot], results[i],
+                                /*may_fan_out=*/false);
         else
           matcher->match_into((*batch)[i], scratch[slot].data(), results[i]);
       }
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks)
-        done.notify_all();
-    }
+    });
   }
 };
 
@@ -610,8 +764,11 @@ std::vector<MatchResult> BatchMatcher::match(
                 n * table_->dimension() * padded / config_.min_cells_per_helper});
   if (helpers == 0) {
     if (hier_) {
+      // A batch on the caller alone: each descent may fan its own
+      // candidate rescore out instead.
       DescentScratch ds;
-      for (std::size_t i = 0; i < n; ++i) descend_into(batch[i], ds, results[i]);
+      for (std::size_t i = 0; i < n; ++i)
+        descend_into(batch[i], ds, results[i], /*may_fan_out=*/true);
     } else {
       std::vector<double> acc(padded);
       for (std::size_t i = 0; i < n; ++i) match_into(batch[i], acc.data(), results[i]);
@@ -625,35 +782,24 @@ std::vector<MatchResult> BatchMatcher::match(
   state->results = results.data();
   state->n = n;
   state->hier = hier_ != nullptr;
-  state->chunks = chunks;
   state->chunk_size = (n + chunks - 1) / chunks;
+  state->claims.chunks = chunks;
   if (hier_)
     state->descent.resize(helpers + 1);
   else
     state->scratch.assign(helpers + 1, std::vector<double>(padded));
-
-  // One bulk submission — a single queue-mutex round-trip for the whole
-  // fan-out. A rejected submission (pool concurrently shut down) is
-  // harmless: the caller claims every chunk below.
-  (void)pool_->submit_range(helpers,
-                            [state](std::size_t slot) { state->run(slot); });
-  state->run(helpers);  // caller participates with the last scratch slot
-
-  std::size_t done = state->done.load(std::memory_order_acquire);
-  while (done < state->chunks) {
-    state->done.wait(done, std::memory_order_acquire);
-    done = state->done.load(std::memory_order_acquire);
-  }
+  fan_out(*pool_, state, helpers);
   return results;
 }
 
-double BatchMatcher::column_similarity(const SamplingVector& vd, FaceId face) const {
-  // Column walk (strided by padded_faces()); term order matches the
-  // scalar vector_distance exactly.
+double BatchMatcher::face_similarity(const SamplingVector& vd, FaceId face) const {
+  // The face's own contiguous signature, not a table column strided by
+  // padded_faces(); term order matches the scalar vector_distance exactly.
+  const SigValue* sig = map_->face(face).signature.data();
   double acc = 0.0;
   for (std::size_t c = 0; c < table_->dimension(); ++c) {
     if (!vd.known[c]) continue;
-    const double d = vd.value[c] - static_cast<double>(table_->at(c, face));
+    const double d = vd.value[c] - static_cast<double>(sig[c]);
     acc += d * d;
   }
   return similarity_from_distance(std::sqrt(acc));
@@ -667,7 +813,7 @@ MatchResult BatchMatcher::climb(const SamplingVector& vd, FaceId start) const {
   MatchResult r;
   std::uint64_t steps = 0;
   FaceId current = start;
-  double s_current = column_similarity(vd, current);
+  double s_current = face_similarity(vd, current);
   ++r.faces_examined;
 
   // Steepest-ascent loop of Algorithm 2, traversal order identical to
@@ -677,7 +823,7 @@ MatchResult BatchMatcher::climb(const SamplingVector& vd, FaceId start) const {
     double s_best = s_current;
     for (FaceId nb : map_->neighbors(current)) {
       ++r.faces_examined;
-      const double s = column_similarity(vd, nb);
+      const double s = face_similarity(vd, nb);
       if (s > s_best) {
         s_best = s;
         best_neighbor = nb;

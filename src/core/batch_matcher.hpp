@@ -129,13 +129,16 @@ class BatchMatcher {
 
   /// Coarse->fine localization of one vector (requires a hierarchy;
   /// throws std::logic_error without one). Best-first over the pyramid:
-  /// pop the node with the smallest distance bound, expand it (child
-  /// bounds, or an exact tile rescore at level 0), and stop once the
-  /// best rescored similarity strictly beats every remaining bound —
-  /// strict, so faces tied with the maximum are never pruned. The
-  /// argmax fields are bit-identical to match_one() on the flat path;
-  /// faces_examined counts the faces actually rescored. climb() never
-  /// consults the tier — Algorithm 2 is already sublinear.
+  /// pop the node with the smallest distance bound and expand it (child
+  /// bounds) until the first tile, whose exact rescore seeds the floor
+  /// s0; every further tile whose similarity ceiling is not strictly
+  /// below s0 is a candidate, and the candidates are rescored exactly —
+  /// fanned out over the pool when the work pays (docs/perf.md). Strict,
+  /// so faces tied with the maximum are never pruned. The argmax fields
+  /// are bit-identical to match_one() on the flat path; faces_examined
+  /// counts the faces actually rescored (seed tile plus candidates), the
+  /// same at every pool size. climb() never consults the tier —
+  /// Algorithm 2 is already sublinear.
   MatchResult descend(const SamplingVector& vd) const;
 
   const SignatureTable& table() const { return *table_; }
@@ -149,6 +152,7 @@ class BatchMatcher {
  private:
   struct BatchState;
   struct DescentScratch;
+  struct RescoreState;
 
   /// Accumulate distance^2 of `vd` over all face columns into `acc`
   /// (padded_faces() doubles of scratch) and select the result.
@@ -158,13 +162,24 @@ class BatchMatcher {
   /// similarities_into (no selection, no validation).
   void similarities_unchecked(const SamplingVector& vd, double* acc) const;
 
-  /// Similarity of one face via a column walk (hill-climb support).
-  double column_similarity(const SamplingVector& vd, FaceId face) const;
+  /// Similarity of one face from its contiguous FaceMap signature
+  /// (hill-climb support).
+  double face_similarity(const SamplingVector& vd, FaceId face) const;
 
   /// The descent body (validated input, caller-owned scratch so batch
-  /// fan-outs reuse heaps and accumulators across vectors).
-  void descend_into(const SamplingVector& vd, DescentScratch& ds,
-                    MatchResult& out) const;
+  /// fan-outs reuse heaps and accumulators across vectors). The
+  /// candidate rescore fans out over the pool only when `may_fan_out`:
+  /// a descent that is one vector of a fanned-out batch stays serial.
+  void descend_into(const SamplingVector& vd, DescentScratch& ds, MatchResult& out,
+                    bool may_fan_out) const;
+
+  /// Exact similarities of tile `tile`'s faces (descent bound `bound`)
+  /// into the first lanes of `row` (kIntLanes doubles; lanes past the
+  /// tile's faces are meaningless). Integral vectors pass their
+  /// component codes and stage planes in `stage`; extended-mode vectors
+  /// pass null codes.
+  void rescore_tile(const SamplingVector& vd, const std::uint8_t* code, std::uint32_t tile,
+                    double bound, DescentScratch& stage, double* row) const;
 
   /// Throws std::invalid_argument when vd's dimension != the table's
   /// (same failure type as the scalar vector_distance path).

@@ -9,6 +9,11 @@
 
 namespace fttt {
 
+namespace {
+/// The pool whose worker_loop runs on this thread (null elsewhere).
+thread_local const ThreadPool* t_worker_of = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(threads);
@@ -36,6 +41,8 @@ bool ThreadPool::stopped() const {
   std::lock_guard lock(mu_);
   return stopping_;
 }
+
+bool ThreadPool::is_worker_thread() const { return t_worker_of == this; }
 
 bool ThreadPool::submit(std::function<void()> task) {
   FTTT_CHECK(task != nullptr, "ThreadPool::submit: empty task");
@@ -83,6 +90,7 @@ std::size_t ThreadPool::submit_range(std::size_t count,
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   for (;;) {
     Task task;
     {

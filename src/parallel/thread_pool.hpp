@@ -53,6 +53,11 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
+  /// True when the calling thread is one of this pool's workers. A
+  /// fan-out sizes its helpers by it: a worker that fans out already
+  /// holds one of the pool's threads, any other caller holds none.
+  bool is_worker_thread() const;
+
   /// Process-wide default pool (lazily constructed, hardware-sized).
   static ThreadPool& global();
 

@@ -23,6 +23,7 @@
 #include "core/signature_index.hpp"
 #include "core/tracker.hpp"
 #include "net/deployment.hpp"
+#include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rf/uncertainty.hpp"
 #include "serve/workload.hpp"
@@ -378,6 +379,109 @@ TEST(HierDescend, DifferentialAgainstFlatAndSpecOnServedRosters) {
         expect_argmax_identical(want[i], flat_batch[i], "flat batch");
         expect_argmax_identical(want[i], tiered_batch[i], "descend batch");
       }
+    }
+  }
+}
+
+/// Fan every descent's candidate rescore out: these maps sit far below
+/// the default min_cells_per_helper, and the fan-out is what is under test.
+BatchMatcher::Config fan_out_config() {
+  BatchMatcher::Config c;
+  c.min_cells_per_helper = 1;
+  return c;
+}
+
+/// The tiered division of a served-shape roster, built once per test.
+struct Tiered {
+  std::shared_ptr<const FaceMap> map;
+  std::shared_ptr<const SignatureTable> table;
+  std::shared_ptr<const HierFaceMap> hier;
+  std::shared_ptr<const SignatureIndex> index;
+};
+
+Tiered build_tiered(const ServeShape& shape, ThreadPool& pool) {
+  FaceMapBuilder builder(shape.roster, shape.channel.C, shape.scenario.field,
+                         shape.scenario.grid_cell, pool);
+  Tiered t;
+  t.map = std::make_shared<const FaceMap>(builder.build());
+  t.hier = std::make_shared<const HierFaceMap>(builder.build_hierarchy());
+  t.table = std::make_shared<const SignatureTable>(builder.take_signature_table());
+  t.index = std::make_shared<const SignatureIndex>(SignatureIndex::build(*t.hier));
+  return t;
+}
+
+TEST(HierDescend, SeededDescentIsIdenticalAtEveryPoolSize) {
+  // The seeded descent's candidate set depends on the vector alone, so
+  // at pool sizes 1/2/4/8 with every candidate rescore fanned out, the
+  // argmax fields equal the flat match_one and the spec, and
+  // faces_examined is the same at every size. Served basic-mode frames,
+  // extended-mode vectors and all-'*' (every tile a candidate).
+  ThreadPool build_pool(4);
+  const Tiered t = build_tiered(serve_shape(32, 9300), build_pool);
+  std::vector<SamplingVector> vectors = served_vectors(serve_shape(32, 9300), 8, 2);
+  RngStream rng(9301);
+  for (int i = 0; i < 8; ++i) vectors.push_back(noisy_vector(*t.map, rng, /*extended=*/true));
+  vectors.push_back(all_star_vector(*t.map));
+  const ExhaustiveMatcher spec;
+  std::vector<MatchResult> want;
+  for (const SamplingVector& vd : vectors) want.push_back(spec.match(*t.map, vd));
+
+  obs::set_enabled(true);
+  const std::uint64_t helpers_before = obs::counter("matcher.index.helpers").value();
+  std::vector<std::size_t> examined;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const BatchMatcher flat(t.map, t.table, BatchMatcher::Config{}, pool);
+    BatchMatcher tiered(t.map, t.table, fan_out_config(), pool);
+    tiered.attach_hierarchy(t.hier, t.index);
+    for (std::size_t i = 0; i < vectors.size(); ++i) {
+      const MatchResult got = tiered.descend(vectors[i]);
+      expect_argmax_identical(want[i], flat.match_one(vectors[i]), "flat match_one");
+      expect_argmax_identical(want[i], got, "seeded descend");
+      // A batch of one runs on the caller, so its descent fans out too.
+      expect_argmax_identical(want[i], tiered.match({vectors[i]}).front(), "batch of one");
+      if (threads == 1)
+        examined.push_back(got.faces_examined);
+      else
+        EXPECT_EQ(got.faces_examined, examined[i]) << threads << " threads, vector " << i;
+    }
+    EXPECT_EQ(tiered.descend(vectors.back()).faces_examined, t.map->face_count())
+        << "all-'*' must rescore every face, " << threads << " threads";
+  }
+  if (obs::kCompiledIn)
+    EXPECT_GT(obs::counter("matcher.index.helpers").value(), helpers_before)
+        << "no descent fanned out";
+  obs::set_enabled(false);
+}
+
+TEST(HierDescend, MaximumTiedAcrossTheSeedTileAndACandidateTile) {
+  // Face a lies in tile 0, face b in the partial last tile. Marking '*'
+  // every pair on which their signatures differ puts both at distance 0
+  // (similarity +inf), so every node over tile 0 has bound 0 and the
+  // (bound, level, id) pop order reaches tile 0 first: it is the seed,
+  // and b's tile, whose ceiling +inf is not strictly below the seed's
+  // +inf, is a candidate. The tie must survive across the two.
+  ThreadPool build_pool(4);
+  const Tiered t = build_tiered(serve_shape(32, 9400), build_pool);
+  ASSERT_GT(t.map->face_count(), 2 * HierFaceMap::kTileFaces);
+  const FaceId a = 5;
+  const auto b = static_cast<FaceId>(t.map->face_count() - 1);
+  SamplingVector vd;
+  for (std::size_t c = 0; c < t.map->dimension(); ++c) {
+    vd.value.push_back(static_cast<double>(t.map->face(a).signature[c]));
+    vd.known.push_back(t.map->face(a).signature[c] == t.map->face(b).signature[c]);
+  }
+  const MatchResult want = ExhaustiveMatcher{}.match(*t.map, vd);
+  ASSERT_TRUE(std::find(want.tied_faces.begin(), want.tied_faces.end(), a) !=
+              want.tied_faces.end());
+  ASSERT_TRUE(std::find(want.tied_faces.begin(), want.tied_faces.end(), b) !=
+              want.tied_faces.end());
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    for (const BatchMatcher::Config& config : {BatchMatcher::Config{}, fan_out_config()}) {
+      BatchMatcher tiered(t.map, t.table, config, pool);
+      tiered.attach_hierarchy(t.hier, t.index);
+      expect_argmax_identical(want, tiered.descend(vd), "tie across seed and candidate");
     }
   }
 }

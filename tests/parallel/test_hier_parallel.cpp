@@ -1,9 +1,11 @@
 // Hierarchical-descent concurrency harness (runs under TSan via
 // tests_parallel): several matchers sharing one immutable coarse tier,
-// concurrent descents on one matcher, and batch determinism across
-// thread counts with the descent engaged.
+// concurrent descents on one matcher, batch determinism across thread
+// counts with the descent engaged, and the single descent's candidate
+// rescore fanned out over the pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <thread>
@@ -142,6 +144,82 @@ TEST(HierParallel, ConcurrentBatchCallsOnOneHierMatcher) {
       EXPECT_EQ(reference.match(*map, batches[t][i]).face, results[t][i].face)
           << t << "/" << i;
   }
+}
+
+/// Vectors that leave many tiles as candidates: a face signature with
+/// half its components '*', plus one all-'*' vector.
+std::vector<SamplingVector> wide_vectors(const FaceMap& map, std::size_t n,
+                                         std::uint64_t seed) {
+  std::vector<SamplingVector> out = make_batch(map, n, seed);
+  RngStream rng(seed + 1);
+  for (SamplingVector& vd : out)
+    for (std::size_t c = 0; c < vd.known.size(); ++c)
+      if (rng.bernoulli(0.5)) vd.known[c] = false;
+  SamplingVector all_star;
+  all_star.value.assign(map.dimension(), 0.0);
+  all_star.known.assign(map.dimension(), false);
+  out.push_back(std::move(all_star));
+  return out;
+}
+
+TEST(HierParallel, SeededDescentFansOutIdenticallyAcrossPoolSizes) {
+  const auto map = make_map();
+  const std::vector<SamplingVector> vectors = wide_vectors(*map, 24, 400);
+  BatchMatcher owner(map);
+  owner.build_hierarchy();
+  const ExhaustiveMatcher reference;
+  std::vector<std::size_t> examined;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    BatchMatcher matcher(map, fan_out(), pool);
+    matcher.attach_hierarchy(owner.shared_hierarchy(), owner.shared_index());
+    for (std::size_t i = 0; i < vectors.size(); ++i) {
+      const MatchResult s = reference.match(*map, vectors[i]);
+      const MatchResult r = matcher.descend(vectors[i]);
+      EXPECT_EQ(s.face, r.face) << threads << "/" << i;
+      EXPECT_EQ(s.similarity, r.similarity) << threads << "/" << i;
+      EXPECT_EQ(s.tied_faces, r.tied_faces) << threads << "/" << i;
+      if (threads == 1)
+        examined.push_back(r.faces_examined);
+      else
+        EXPECT_EQ(examined[i], r.faces_examined) << threads << "/" << i;
+    }
+    EXPECT_EQ(examined.back(), map->face_count()) << "all-'*' rescores every face";
+  }
+}
+
+TEST(HierParallel, MatcherDestroyedWhileDescentHelpersStraggle) {
+  // Both workers are held busy, so every helper a descent submits queues
+  // behind them: the caller rescores every candidate itself, returns,
+  // and its matcher, vector and scratch are gone before the helpers run.
+  // They must claim nothing and touch none of it (TSan/ASan verify).
+  const auto map = make_map();
+  const std::vector<SamplingVector> vectors = wide_vectors(*map, 8, 500);
+  BatchMatcher owner(map);
+  owner.build_hierarchy();
+  const ExhaustiveMatcher reference;
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  for (int w = 0; w < 2; ++w)
+    ASSERT_TRUE(pool.submit([&release] { release.wait(false); }));
+  for (const SamplingVector& vd : vectors) {
+    auto matcher = std::make_unique<BatchMatcher>(map, fan_out(), pool);
+    matcher->attach_hierarchy(owner.shared_hierarchy(), owner.shared_index());
+    const MatchResult r = matcher->descend(vd);
+    matcher.reset();
+    EXPECT_EQ(reference.match(*map, vd).tied_faces, r.tied_faces);
+  }
+  release.store(true);
+  release.notify_all();
+  // Free workers now race the callers for chunks while matchers die.
+  for (const SamplingVector& vd : vectors) {
+    auto matcher = std::make_unique<BatchMatcher>(map, fan_out(), pool);
+    matcher->attach_hierarchy(owner.shared_hierarchy(), owner.shared_index());
+    const MatchResult r = matcher->descend(vd);
+    matcher.reset();
+    EXPECT_EQ(reference.match(*map, vd).tied_faces, r.tied_faces);
+  }
+  pool.shutdown();  // the stragglers drain before the test's locals go
 }
 
 }  // namespace

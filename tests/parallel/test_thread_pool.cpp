@@ -35,6 +35,32 @@ TEST(ThreadPool, ThreadCountRespected) {
   EXPECT_EQ(pool.thread_count(), 3u);
 }
 
+TEST(ThreadPool, IsWorkerThreadOnlyOnItsOwnWorkers) {
+  ThreadPool pool(2);
+  ThreadPool other(1);
+  EXPECT_FALSE(pool.is_worker_thread());
+  std::atomic<int> seen{0};  // bit 0: own worker, bit 1: other pool's worker
+  std::atomic<int> done{0};
+  const auto finish = [&] {
+    done.fetch_add(1);
+    done.notify_all();
+  };
+  ASSERT_TRUE(pool.submit([&] {
+    if (pool.is_worker_thread() && !other.is_worker_thread()) seen.fetch_or(1);
+    finish();
+  }));
+  ASSERT_TRUE(other.submit([&] {
+    if (!pool.is_worker_thread() && other.is_worker_thread()) seen.fetch_or(2);
+    finish();
+  }));
+  int d = done.load();
+  while (d < 2) {
+    done.wait(d);
+    d = done.load();
+  }
+  EXPECT_EQ(seen.load(), 3);
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(8);
   const std::size_t n = 10000;
