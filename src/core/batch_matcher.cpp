@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -34,7 +35,16 @@ const FaceMap& require_map(const std::shared_ptr<const FaceMap>& map) {
 // clone fuses d*d + acc into an FMA. The integral descent kernels sum
 // exact small integers in 8- and 16-bit lanes, which AVX-512F alone
 // lacks (those ops are AVX-512BW): the wide clone is x86-64-v4 (AVX-512
-// F/BW/CD/DQ/VL).
+// F/BW/CD/DQ/VL). The bit-plane kernel counts bits, which baseline
+// x86-64 does in a dozen instructions per word: the popcnt clone gives
+// pre-AVX2 hosts the one-instruction count (avx2 implies it). Integer
+// counts are exact in every clone.
+//
+// The vector count (AVX-512 VPOPCNTDQ) cannot join the list: GCC 12's
+// dispatcher rejects that ISA ("use arch= syntax"), and an arch= CPU
+// name dispatches on the CPU model, which a virtualized Xeon does not
+// report. So the bit kernel alone gets one more version, compiled for
+// x86-64-v4 plus VPOPCNTDQ, and picked by a feature test on first use.
 //
 // TSan is incompatible with ifunc dispatch (the resolver runs before the
 // sanitizer runtime is initialized and segfaults at load), so thread-
@@ -50,7 +60,7 @@ const FaceMap& require_map(const std::shared_ptr<const FaceMap>& map) {
     defined(__has_attribute) && !defined(FTTT_NO_VECTOR_CLONES)
 #if __has_attribute(target_clones)
 #define FTTT_VECTOR_CLONES \
-  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
+  __attribute__((target_clones("default", "popcnt", "avx2", "arch=x86-64-v4")))
 #define FTTT_HAS_VECTOR_CLONES 1
 #endif
 #endif
@@ -88,6 +98,84 @@ static_assert(HierFaceMap::kTileFaces == kIntLanes && HierFaceMap::kFanout == kI
 /// Integral component code: v + 1 for a known v in {-1, 0, +1} (the
 /// kIntMinTerm row), kUnknownCode for '*'.
 constexpr std::uint8_t kUnknownCode = 3;
+
+/// acc[f] = similarity_from_distance(sqrt(d2[f])) for exact integer
+/// squared distances: the very doubles the spec's sum of 0/1/4 terms
+/// reaches (similarity_in_place's argument covers the zero distance).
+FTTT_VECTOR_CLONES
+void similarity_from_squares(double* __restrict acc, const std::uint32_t* __restrict d2,
+                             std::size_t len) {
+  for (std::size_t f = 0; f < len; ++f) acc[f] = 1.0 / std::sqrt(static_cast<double>(d2[f]));
+}
+
+/// Faces per block of the bit scan: its fan-out chunks are whole blocks,
+/// and similarities_into stages one block of distances at a time.
+constexpr std::size_t kBitBlock = 256;
+
+/// Exact squared distance of one face record (`fp`: words positive bit
+/// words, then words negative ones) to an encoded vector: a pair adds 1
+/// where the components differ and the vector's is known, and 3 more
+/// where they are opposite (both known and nonzero) — the spec's 0/1/4
+/// terms, with '*' pairs dropped by the known mask.
+[[gnu::always_inline]] inline std::uint32_t bit_distance(const std::uint64_t* __restrict fp,
+                                                         const std::uint64_t* __restrict code,
+                                                         std::size_t words) {
+  const std::uint64_t* fn = fp + words;
+  const std::uint64_t* vp = code;
+  const std::uint64_t* vn = code + words;
+  const std::uint64_t* vk = code + 2 * words;
+  std::uint32_t differ = 0;
+  std::uint32_t opposite = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    differ += static_cast<std::uint32_t>(
+        std::popcount(((vp[w] ^ fp[w]) | (vn[w] ^ fn[w])) & vk[w]));
+    opposite += static_cast<std::uint32_t>(std::popcount((vp[w] & fn[w]) | (vn[w] & fp[w])));
+  }
+  return differ + 3 * opposite;
+}
+
+[[gnu::always_inline]] inline void bit_distances_body(
+    const std::uint64_t* __restrict bits, std::size_t words,
+    const std::uint64_t* __restrict code, const FaceId* __restrict ids, std::size_t first,
+    std::size_t count, std::uint32_t* __restrict dist) {
+  const std::size_t stride = 2 * words;
+  if (ids) {
+    for (std::size_t i = 0; i < count; ++i)
+      dist[i] = bit_distance(bits + static_cast<std::size_t>(ids[i]) * stride, code, words);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i)
+    dist[i] = bit_distance(bits + (first + i) * stride, code, words);
+}
+
+FTTT_VECTOR_CLONES
+void bit_distances_cloned(const std::uint64_t* bits, std::size_t words,
+                          const std::uint64_t* code, const FaceId* ids, std::size_t first,
+                          std::size_t count, std::uint32_t* dist) {
+  bit_distances_body(bits, words, code, ids, first, count, dist);
+}
+
+#if FTTT_HAS_VECTOR_CLONES
+/// Below this many words per half the vector count loses to the scalar
+/// one (its loop prologue outweighs a face's few words; measured at
+/// n = 10, one word).
+constexpr std::size_t kVpopcntMinWords = 4;
+
+__attribute__((target("arch=x86-64-v4,avx512vpopcntdq")))
+void bit_distances_vpopcnt(const std::uint64_t* bits, std::size_t words,
+                           const std::uint64_t* code, const FaceId* ids, std::size_t first,
+                           std::size_t count, std::uint32_t* dist) {
+  bit_distances_body(bits, words, code, ids, first, count, dist);
+}
+
+bool has_vpopcnt() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512vpopcntdq") != 0;
+  }();
+  return yes;
+}
+#endif
 
 /// Faces of level-0 tile `tile` (the last tile may be partial).
 std::size_t tile_width(std::size_t faces, std::uint32_t tile) {
@@ -168,6 +256,26 @@ void add_min_terms(const std::uint8_t* const* masks, const std::uint8_t* codes,
 }
 #endif
 
+std::uint64_t tied_distance_ceiling(std::uint64_t d) {
+  FTTT_DCHECK(d < (std::uint64_t{1} << 53), "distance ", d, " is not exact in a double");
+  const double s = 1.0 / std::sqrt(static_cast<double>(d));
+  std::uint64_t e = d;
+  while (1.0 / std::sqrt(static_cast<double>(e + 1)) == s) ++e;
+  return e;
+}
+
+void bit_distances(const std::uint64_t* bits, std::size_t words, const std::uint64_t* code,
+                   const FaceId* ids, std::size_t first, std::size_t count,
+                   std::uint32_t* dist) {
+#if FTTT_HAS_VECTOR_CLONES
+  if (words >= kVpopcntMinWords && has_vpopcnt()) {
+    bit_distances_vpopcnt(bits, words, code, ids, first, count, dist);
+    return;
+  }
+#endif
+  bit_distances_cloned(bits, words, code, ids, first, count, dist);
+}
+
 }  // namespace detail
 
 /// Reusable per-worker state of one descent: the best-first frontier,
@@ -223,6 +331,15 @@ struct BatchMatcher::DescentScratch {
   }
 };
 
+/// Per-worker state of one localization, whichever kernel it takes: the
+/// bit scan's distances, the int8 scan's accumulators, or a descent.
+struct BatchMatcher::Scratch {
+  std::vector<std::uint64_t> code;
+  std::vector<std::uint32_t> dist;
+  std::vector<double> acc;
+  DescentScratch descent;
+};
+
 namespace {
 
 /// Chunk claims of one pool fan-out. Every participant — helper tasks
@@ -269,6 +386,15 @@ void fan_out(ThreadPool& pool, const std::shared_ptr<State>& state, std::size_t 
   state->claims.wait();
 }
 
+void publish_kernel_gauges() {
+  FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
+#if FTTT_HAS_VECTOR_CLONES
+  FTTT_OBS_GAUGE_SET("matcher.kernel.vpopcnt", has_vpopcnt() ? 1 : 0);
+#else
+  FTTT_OBS_GAUGE_SET("matcher.kernel.vpopcnt", 0);
+#endif
+}
+
 }  // namespace
 
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
@@ -277,7 +403,7 @@ BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
       table_(std::make_shared<const SignatureTable>(require_map(map_))) {
   FTTT_CHECK(config_.face_block > 0 && config_.min_cells_per_helper > 0,
              "BatchMatcher: zero face_block or min_cells_per_helper");
-  FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
+  publish_kernel_gauges();
 }
 
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table,
@@ -289,7 +415,7 @@ BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable ta
     throw std::invalid_argument("BatchMatcher: signature table does not match map");
   FTTT_CHECK(config_.face_block > 0 && config_.min_cells_per_helper > 0,
              "BatchMatcher: zero face_block or min_cells_per_helper");
-  FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
+  publish_kernel_gauges();
 }
 
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map,
@@ -302,7 +428,7 @@ BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map,
     throw std::invalid_argument("BatchMatcher: signature table does not match map");
   FTTT_CHECK(config_.face_block > 0 && config_.min_cells_per_helper > 0,
              "BatchMatcher: zero face_block or min_cells_per_helper");
-  FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
+  publish_kernel_gauges();
 }
 
 void BatchMatcher::match_into(const SamplingVector& vd, double* acc,
@@ -357,7 +483,22 @@ void BatchMatcher::similarities_into(const SamplingVector& vd, std::span<double>
   require_dimension(vd);
   if (out.size() < table_->padded_faces())
     throw std::invalid_argument("BatchMatcher::similarities_into: output too small");
-  similarities_unchecked(vd, out.data());
+  const std::size_t words = table_->plane_words();
+  std::vector<std::uint64_t> code(3 * words);
+  if (!encode_bits(vd, code.data())) {
+    similarities_unchecked(vd, out.data());
+    return;
+  }
+  FTTT_OBS_COUNT("matcher.planes.skipped", vd.unknown_count());
+  // One block of exact distances at a time, transformed straight into
+  // the caller's row.
+  const std::size_t faces = table_->face_count();
+  std::array<std::uint32_t, kBitBlock> d2;
+  for (std::size_t f0 = 0; f0 < faces; f0 += kBitBlock) {
+    const std::size_t n = std::min(kBitBlock, faces - f0);
+    detail::bit_distances(table_->face_bits(0), words, code.data(), nullptr, f0, n, d2.data());
+    similarity_from_squares(out.data() + f0, d2.data(), n);
+  }
 }
 
 MatchResult BatchMatcher::select_from(std::span<const double> scores) const {
@@ -386,13 +527,124 @@ void BatchMatcher::require_dimension(const SamplingVector& vd) const {
     throw std::invalid_argument("BatchMatcher: sampling vector dimension mismatch");
 }
 
+bool BatchMatcher::encode_bits(const SamplingVector& vd, std::uint64_t* code) const {
+  const std::size_t words = table_->plane_words();
+  std::uint64_t* pos = code;
+  std::uint64_t* neg = code + words;
+  std::uint64_t* known = code + 2 * words;
+  std::fill(code, code + 3 * words, std::uint64_t{0});
+  for (std::size_t c = 0; c < table_->dimension(); ++c) {
+    if (!vd.known[c]) continue;
+    const double v = vd.value[c];
+    const std::size_t w = c / SignatureTable::kPairsPerWord;
+    const std::uint64_t bit = std::uint64_t{1} << (c % SignatureTable::kPairsPerWord);
+    if (v == 1.0)
+      pos[w] |= bit;
+    else if (v == -1.0)
+      neg[w] |= bit;
+    else if (v != 0.0)
+      return false;
+    known[w] |= bit;
+  }
+  return true;
+}
+
+/// Shared bookkeeping of one bit scan's fan-out: chunk c scans faces
+/// [c * chunk_faces, (c + 1) * chunk_faces) into its own slice of
+/// `dist`. The caller-owned pointers are dereferenced only inside a
+/// claimed chunk (see Claims).
+struct BatchMatcher::BitScanState {
+  const std::uint64_t* bits{nullptr};
+  const std::uint64_t* code{nullptr};
+  std::uint32_t* dist{nullptr};
+  std::size_t words{0};
+  std::size_t faces{0};
+  std::size_t chunk_faces{0};
+  Claims claims;
+
+  void run(std::size_t /*slot*/) {
+    claims.run([&](std::size_t c) {
+      const std::size_t lo = std::min(faces, c * chunk_faces);
+      const std::size_t hi = std::min(faces, lo + chunk_faces);
+      detail::bit_distances(bits, words, code, nullptr, lo, hi - lo, dist + lo);
+    });
+  }
+};
+
+void BatchMatcher::bit_scan(const std::uint64_t* code, std::uint32_t* dist,
+                            bool may_fan_out) const {
+  const std::size_t faces = table_->face_count();
+  const std::size_t words = table_->plane_words();
+  // The descent's fan-out rule, costed for the bit kernel: one helper
+  // per min_cells_per_helper cells of work, and no more runnable threads
+  // than the pool has workers.
+  const std::size_t blocks = (faces + kBitBlock - 1) / kBitBlock;
+  std::size_t helpers = 0;
+  std::size_t chunks = 0;
+  if (may_fan_out && blocks > 1 && !pool_->stopped()) {
+    const std::size_t workers = pool_->thread_count();
+    const std::size_t budget = pool_->is_worker_thread() ? workers - 1 : workers;
+    chunks = std::min(blocks, (budget + 1) * 4);
+    helpers = std::min({budget, chunks - 1,
+                        faces * words * kBitWordCells / config_.min_cells_per_helper});
+  }
+  if (helpers == 0) {
+    detail::bit_distances(table_->face_bits(0), words, code, nullptr, 0, faces, dist);
+    return;
+  }
+  auto state = std::make_shared<BitScanState>();
+  state->bits = table_->face_bits(0);
+  state->code = code;
+  state->dist = dist;
+  state->words = words;
+  state->faces = faces;
+  state->chunk_faces = (blocks + chunks - 1) / chunks * kBitBlock;
+  state->claims.chunks = chunks;
+  fan_out(*pool_, state, helpers);
+  FTTT_OBS_COUNT("matcher.bitscan.helpers", helpers);
+}
+
+void BatchMatcher::select_bits(const std::uint32_t* dist, MatchResult& out) const {
+  // The spec's chain keeps the maximum similarity and every face equal
+  // to it. Similarity falls monotonically with the integer distance, so
+  // the maximum is the minimum distance's, and the faces equal to it are
+  // exactly those whose distance lies in [min, tied_distance_ceiling(min)].
+  const std::size_t faces = table_->face_count();
+  std::uint32_t least = dist[0];
+  for (std::size_t f = 1; f < faces; ++f) least = std::min(least, dist[f]);
+  const std::uint64_t ceiling = detail::tied_distance_ceiling(least);
+  out = MatchResult{};
+  out.similarity = 1.0 / std::sqrt(static_cast<double>(least));
+  out.faces_examined = faces;
+  for (std::size_t f = 0; f < faces; ++f)
+    if (dist[f] <= ceiling) out.tied_faces.push_back(static_cast<FaceId>(f));
+  detail::finalize_match(*map_, out);
+}
+
+void BatchMatcher::localize_into(const SamplingVector& vd, const std::uint64_t* code,
+                                 Scratch& s, MatchResult& out, bool may_fan_out) const {
+  if (code) {
+    FTTT_OBS_COUNT("matcher.planes.skipped", vd.unknown_count());
+    s.dist.resize(table_->face_count());
+    bit_scan(code, s.dist.data(), may_fan_out);
+    select_bits(s.dist.data(), out);
+  } else if (hier_) {
+    descend_into(vd, s.descent, out, may_fan_out);
+  } else {
+    s.acc.resize(table_->padded_faces());
+    match_into(vd, s.acc.data(), out);
+  }
+}
+
 MatchResult BatchMatcher::match_one(const SamplingVector& vd) const {
-  if (hier_) return descend(vd);
-  FTTT_OBS_SPAN("matcher.match_one");
   require_dimension(vd);
-  std::vector<double> acc(table_->padded_faces());
+  Scratch s;
+  s.code.resize(3 * table_->plane_words());
+  const bool basic = encode_bits(vd, s.code.data());
+  if (!basic && hier_) return descend(vd);
+  FTTT_OBS_SPAN("matcher.match_one");
   MatchResult r;
-  match_into(vd, acc.data(), r);
+  localize_into(vd, basic ? s.code.data() : nullptr, s, r, /*may_fan_out=*/true);
   return r;
 }
 
@@ -702,40 +954,35 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
 }
 
 /// Shared bookkeeping of one batch fan-out: chunk c localizes a
-/// contiguous range of the batch. The matcher/batch/results pointers are
-/// dereferenced only inside a claimed chunk (see Claims).
+/// contiguous range of the batch. The matcher/batch/codes/results
+/// pointers are dereferenced only inside a claimed chunk (see Claims).
 struct BatchMatcher::BatchState {
   const BatchMatcher* matcher{nullptr};
   const std::vector<SamplingVector>* batch{nullptr};
+  /// Vector i's encode_bits words at codes + i * code_words when
+  /// basic[i], else an extended-mode vector.
+  const std::uint64_t* codes{nullptr};
+  const char* basic{nullptr};
+  std::size_t code_words{0};
   MatchResult* results{nullptr};
   /// batch->size(), snapshotted before submission: a straggler task that
   /// loses every chunk claim must not touch the caller-owned vector at all.
   std::size_t n{0};
-  /// Descent routing, snapshotted for the same reason: reading it
-  /// through `matcher` outside a claimed chunk would race destruction.
-  bool hier{false};
   std::size_t chunk_size{0};
-  /// scratch[slot] / descent[slot] is owned by bulk task `slot` (the
-  /// caller uses the last slot); a task runs on exactly one worker, so
-  /// no slot is shared. Flat routing fills scratch, descent routing
-  /// fills descent — never both.
-  std::vector<std::vector<double>> scratch;
-  std::vector<DescentScratch> descent;
+  /// scratch[slot] is owned by bulk task `slot` (the caller uses the
+  /// last slot); a task runs on exactly one worker, so no slot is shared.
+  std::vector<Scratch> scratch;
   Claims claims;
 
   void run(std::size_t slot) {
     claims.run([&](std::size_t c) {
       const std::size_t lo = std::min(n, c * chunk_size);
       const std::size_t hi = std::min(n, lo + chunk_size);
-      for (std::size_t i = lo; i < hi; ++i) {
-        // One vector of a fanned-out batch: its descent stays on this
-        // thread, the batch already holds the pool.
-        if (hier)
-          matcher->descend_into((*batch)[i], descent[slot], results[i],
-                                /*may_fan_out=*/false);
-        else
-          matcher->match_into((*batch)[i], scratch[slot].data(), results[i]);
-      }
+      // One vector of a fanned-out batch: its scan or descent stays on
+      // this thread, the batch already holds the pool.
+      for (std::size_t i = lo; i < hi; ++i)
+        matcher->localize_into((*batch)[i], basic[i] ? codes + i * code_words : nullptr,
+                               scratch[slot], results[i], /*may_fan_out=*/false);
     });
   }
 };
@@ -749,45 +996,50 @@ std::vector<MatchResult> BatchMatcher::match(
   FTTT_OBS_HIST("matcher.batch.size", "vectors", batch.size());
   for (const SamplingVector& vd : batch) require_dimension(vd);
 
+  // Encode every vector once, and count the batch's work: a basic-mode
+  // vector's bit scan, an extended-mode vector's flat int8 scan.
+  const std::size_t n = batch.size();
+  const std::size_t code_words = 3 * table_->plane_words();
+  std::vector<std::uint64_t> codes(n * code_words);
+  std::vector<char> basic(n);
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    basic[i] = encode_bits(batch[i], codes.data() + i * code_words) ? 1 : 0;
+    cells += basic[i] ? table_->face_count() * table_->plane_words() * kBitWordCells
+                      : table_->dimension() * table_->padded_faces();
+  }
+
   // Fan out only as far as the work pays: one helper per
   // min_cells_per_helper cells, no more helpers than chunks the caller
   // leaves, and at most workers - 1, so the helpers plus the
   // participating caller never outnumber the pool (on a host with as
   // many cores as workers, one more runnable thread is one that gets
   // preempted mid-chunk).
-  const std::size_t n = batch.size();
-  const std::size_t padded = table_->padded_faces();
   const std::size_t workers = pool_->stopped() ? 1 : pool_->thread_count();
   const std::size_t chunks = std::min(n, workers * 4);
   const std::size_t helpers =
-      std::min({workers - 1, chunks - 1,
-                n * table_->dimension() * padded / config_.min_cells_per_helper});
+      std::min({workers - 1, chunks - 1, cells / config_.min_cells_per_helper});
   if (helpers == 0) {
-    if (hier_) {
-      // A batch on the caller alone: each descent may fan its own
-      // candidate rescore out instead.
-      DescentScratch ds;
-      for (std::size_t i = 0; i < n; ++i)
-        descend_into(batch[i], ds, results[i], /*may_fan_out=*/true);
-    } else {
-      std::vector<double> acc(padded);
-      for (std::size_t i = 0; i < n; ++i) match_into(batch[i], acc.data(), results[i]);
-    }
+    // A batch on the caller alone: each vector may fan its own scan or
+    // candidate rescore out instead.
+    Scratch s;
+    for (std::size_t i = 0; i < n; ++i)
+      localize_into(batch[i], basic[i] ? codes.data() + i * code_words : nullptr, s,
+                    results[i], /*may_fan_out=*/true);
     return results;
   }
 
   auto state = std::make_shared<BatchState>();
   state->matcher = this;
   state->batch = &batch;
+  state->codes = codes.data();
+  state->basic = basic.data();
+  state->code_words = code_words;
   state->results = results.data();
   state->n = n;
-  state->hier = hier_ != nullptr;
   state->chunk_size = (n + chunks - 1) / chunks;
   state->claims.chunks = chunks;
-  if (hier_)
-    state->descent.resize(helpers + 1);
-  else
-    state->scratch.assign(helpers + 1, std::vector<double>(padded));
+  state->scratch.resize(helpers + 1);
   fan_out(*pool_, state, helpers);
   return results;
 }
@@ -810,10 +1062,29 @@ MatchResult BatchMatcher::climb(const SamplingVector& vd, FaceId start) const {
              " out of range (", table_->face_count(), " faces)");
   require_dimension(vd);
   FTTT_OBS_SPAN("matcher.climb");
+  // Similarities of faces ids[0, n) into sims: a basic-mode vector scores
+  // them in one bit-kernel call, an extended-mode one face by face.
+  const std::size_t words = table_->plane_words();
+  std::vector<std::uint64_t> code(3 * words);
+  const bool basic = encode_bits(vd, code.data());
+  std::vector<std::uint32_t> d2;
+  std::vector<double> sims;
+  const auto score = [&](const FaceId* ids, std::size_t n) {
+    sims.resize(n);
+    if (basic) {
+      d2.resize(n);
+      detail::bit_distances(table_->face_bits(0), words, code.data(), ids, 0, n, d2.data());
+      for (std::size_t k = 0; k < n; ++k) sims[k] = 1.0 / std::sqrt(static_cast<double>(d2[k]));
+    } else {
+      for (std::size_t k = 0; k < n; ++k) sims[k] = face_similarity(vd, ids[k]);
+    }
+  };
+
   MatchResult r;
   std::uint64_t steps = 0;
   FaceId current = start;
-  double s_current = face_similarity(vd, current);
+  score(&current, 1);
+  double s_current = sims[0];
   ++r.faces_examined;
 
   // Steepest-ascent loop of Algorithm 2, traversal order identical to
@@ -821,12 +1092,13 @@ MatchResult BatchMatcher::climb(const SamplingVector& vd, FaceId start) const {
   for (;;) {
     FaceId best_neighbor = current;
     double s_best = s_current;
-    for (FaceId nb : map_->neighbors(current)) {
+    const std::vector<FaceId>& neighbors = map_->neighbors(current);
+    score(neighbors.data(), neighbors.size());
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
       ++r.faces_examined;
-      const double s = face_similarity(vd, nb);
-      if (s > s_best) {
-        s_best = s;
-        best_neighbor = nb;
+      if (sims[k] > s_best) {
+        s_best = sims[k];
+        best_neighbor = neighbors[k];
       }
     }
     if (best_neighbor == current) break;

@@ -17,15 +17,23 @@
 // The scalar matchers remain as the executable specification;
 // tests/core/test_batch_matcher.cpp enforces the contract.
 //
+// Basic-mode vectors (every known component in {-1, 0, +1}) take one
+// exact integer kernel in match(), match_one(), similarities_into() and
+// climb(): a face's squared distance is popcount(differ & known) +
+// 3 * popcount(opposite) over the table's bit planes, and selection runs
+// on those integers (docs/matching.md). Extended-mode vectors keep the
+// int8 plane kernels.
+//
 // Large deployments add a fourth tier: build_hierarchy() attaches a
 // coarse HierFaceMap pyramid plus a SignatureIndex over its tiles, and
-// match()/match_one() then run descend() — best-first coarse->fine
-// search that prunes whole tiles by conservative distance bounds and
-// exactly rescores only the survivors. The descent keeps every argmax
-// field (face, tied_faces, similarity, position) bit-identical to the
-// flat scan; only faces_examined differs, honestly counting the faces
-// actually rescored. docs/matching.md is the handbook;
-// tests/core/test_hier_descend.cpp enforces the descent contract.
+// match()/match_one() then run descend() on extended-mode vectors —
+// best-first coarse->fine search that prunes whole tiles by conservative
+// distance bounds and exactly rescores only the survivors. The descent
+// keeps every argmax field (face, tied_faces, similarity, position)
+// bit-identical to the flat scan; only faces_examined differs, honestly
+// counting the faces actually rescored. docs/matching.md is the
+// handbook; tests/core/test_hier_descend.cpp enforces the descent
+// contract.
 #pragma once
 
 #include <cstddef>
@@ -49,18 +57,25 @@ struct BatchMatcherConfig {
   std::size_t face_block{1024};
   /// Table cells (one pair's component of one face) of matching work a
   /// batch must offer each pool helper before match() wakes it; below
-  /// one helper's worth the caller matches the batch alone. A batch's
-  /// work is counted as its flat scan, vectors x pairs x padded faces
-  /// (the descent's worst case). A woken helper costs tens of
-  /// microseconds, and one preempted while it holds a claimed chunk
-  /// stalls the whole batch for a scheduler slice, so each must carry
-  /// well over that: 2^20 cells are ~0.4 ms of flat scan.
+  /// one helper's worth the caller matches the batch alone. An
+  /// extended-mode vector's work is counted as its flat scan, pairs x
+  /// padded faces (the descent's worst case); a basic-mode vector's bit
+  /// scan as kBitWordCells cells per face and bit-plane word. A woken
+  /// helper costs tens of microseconds, and one preempted while it holds
+  /// a claimed chunk stalls the whole batch for a scheduler slice, so
+  /// each must carry well over that: 2^20 cells are ~0.4 ms of flat scan.
   std::size_t min_cells_per_helper{std::size_t{1} << 20};
 };
 
 class BatchMatcher {
  public:
   using Config = BatchMatcherConfig;
+
+  /// Cost of one face's bit-plane word (positive and negative halves
+  /// against one vector) in flat-scan cells, for the fan-out rule:
+  /// measured at N = 64, the AVX-512 VPOPCNTDQ kernel scans a word in
+  /// ~0.8 ns where the int8 flat scan spends ~0.4 ns per cell.
+  static constexpr std::size_t kBitWordCells = 2;
 
   /// Builds the SoA table from `map` (throws std::invalid_argument on
   /// null). `pool` serves every subsequent match() fan-out.
@@ -82,10 +97,15 @@ class BatchMatcher {
                ThreadPool& pool = ThreadPool::global());
 
   /// Localize every vector of `batch`; results[i] is the match of
-  /// batch[i], each bit-identical to ExhaustiveMatcher::match.
+  /// batch[i], each bit-identical to ExhaustiveMatcher::match in every
+  /// argmax field. faces_examined is face_count() except where an
+  /// extended-mode vector descends the tier.
   std::vector<MatchResult> match(const std::vector<SamplingVector>& batch) const;
 
-  /// Single-vector exhaustive match over the SoA table (no pool fan-out).
+  /// Single-vector exhaustive match over the SoA table. A basic-mode
+  /// vector's bit scan fans out over face blocks when the work pays (the
+  /// min_cells_per_helper rule); an extended-mode vector descends the
+  /// tier when one is attached.
   MatchResult match_one(const SamplingVector& vd) const;
 
   /// Algorithm 2 hill climb (steepest similarity ascent over neighbor
@@ -112,7 +132,8 @@ class BatchMatcher {
 
   /// Build the coarse descent tier (a HierFaceMap pyramid plus the
   /// SignatureIndex over its tiles) from the adopted table; every
-  /// subsequent match()/match_one() routes through descend(). Idempotent.
+  /// subsequent match()/match_one() of an extended-mode vector routes
+  /// through descend() (basic-mode vectors keep the bit scan). Idempotent.
   /// Like construction, not synchronized against concurrent matching —
   /// attach the tier before the matcher is shared.
   void build_hierarchy();
@@ -153,17 +174,43 @@ class BatchMatcher {
   struct BatchState;
   struct DescentScratch;
   struct RescoreState;
+  struct BitScanState;
+  struct Scratch;
+
+  /// The one routing rule of match() and match_one(): a basic-mode vector
+  /// (`code` its encode_bits words, or null) takes the bit scan, then an
+  /// extended-mode one the descent when a tier is attached, else the
+  /// int8 flat scan. Fan-outs (bit scan or descent rescore) only when
+  /// `may_fan_out`.
+  void localize_into(const SamplingVector& vd, const std::uint64_t* code, Scratch& s,
+                     MatchResult& out, bool may_fan_out) const;
 
   /// Accumulate distance^2 of `vd` over all face columns into `acc`
   /// (padded_faces() doubles of scratch) and select the result.
   void match_into(const SamplingVector& vd, double* acc, MatchResult& out) const;
+
+  /// Bit-plane words of a basic-mode vector into `code` (3 x
+  /// plane_words(): +1 bits, -1 bits, known bits; '*' components and
+  /// tail bits zero). Returns false, leaving `code` partly written, when
+  /// some known component is not -1, 0 or +1 (an extended-mode vector).
+  bool encode_bits(const SamplingVector& vd, std::uint64_t* code) const;
+
+  /// Exact squared distances of every face to the encoded vector `code`
+  /// into dist[0, face_count()); fans out over face blocks only when
+  /// `may_fan_out` and the work pays.
+  void bit_scan(const std::uint64_t* code, std::uint32_t* dist, bool may_fan_out) const;
+
+  /// The spec's selection over bit_scan distances: the maximum
+  /// similarity is the minimum distance's, and the tied faces are those
+  /// whose distance maps to that very double (detail::tied_distance_ceiling).
+  void select_bits(const std::uint32_t* dist, MatchResult& out) const;
 
   /// The accumulation + similarity transform shared by match_into and
   /// similarities_into (no selection, no validation).
   void similarities_unchecked(const SamplingVector& vd, double* acc) const;
 
   /// Similarity of one face from its contiguous FaceMap signature
-  /// (hill-climb support).
+  /// (hill-climb support for extended-mode vectors).
   double face_similarity(const SamplingVector& vd, FaceId face) const;
 
   /// The descent body (validated input, caller-owned scratch so batch
@@ -216,6 +263,22 @@ void add_square_terms(const SigValue* const* planes, const std::uint8_t* codes,
 /// bounds of one node on its varying planes.
 void add_min_terms(const std::uint8_t* const* masks, const std::uint8_t* codes,
                    std::size_t count, std::uint32_t* acc);
+
+/// The largest e >= d whose similarity 1 / sqrt(e) is the very double
+/// 1 / sqrt(d): similarity is monotone in the integer distance, so the
+/// distances tied with a minimum d form the range [d, e]. Checks d + 1,
+/// d + 2, ... in turn; e == d on every deployment this code can build
+/// (the first collision needs d near 2^52), but the spec's ties are
+/// double ties, and this keeps them exact. Requires d < 2^53.
+std::uint64_t tied_distance_ceiling(std::uint64_t d);
+
+/// dist[i] = the exact squared distance of face ids[i] (or of face
+/// first + i when `ids` is null) to the encoded basic-mode vector `code`
+/// (BatchMatcher's encode_bits layout) over bit planes `bits` in the
+/// SignatureTable face-major layout of `words` words per half.
+void bit_distances(const std::uint64_t* bits, std::size_t words, const std::uint64_t* code,
+                   const FaceId* ids, std::size_t first, std::size_t count,
+                   std::uint32_t* dist);
 
 }  // namespace detail
 

@@ -75,15 +75,17 @@ constexpr double kDegenerateSeparation2 = 1e-12;
 // cells heads a run and nearly every head is its own face, so assembly
 // moves 2016 planes x ~10k faces of signature bytes three times: into
 // the packed keys, into the SoA table and into the per-face signatures.
-// The kernels below do each pass on whole words inside cache-sized
-// blocks, and the stages fan the blocks out over the builder's pool.
+// The packed keys are the table's bit planes, so those are a gather of
+// each face's key words, not a fourth pass over the signatures. The
+// kernels below do each pass on whole words inside cache-sized blocks,
+// and the stages fan the blocks out over the builder's pool.
 // Every block writes bytes no other block touches, so the products are
 // the same at any thread count.
 // ---------------------------------------------------------------------------
 
-/// A plane value in {-1, 0, 1} is one base-3 digit and 40 digits fit a
-/// 64-bit word (3^40 < 2^64).
-constexpr std::size_t kTritsPerWord = 40;
+/// Node pairs per key word: one bit per pair in each of a key's two
+/// halves (the SignatureTable bit-plane layout).
+constexpr std::size_t kPairsPerWord = SignatureTable::kPairsPerWord;
 
 /// Run heads packed per task: 8 KiB of key accumulators per word.
 constexpr std::size_t kHeadBlock = 1024;
@@ -109,71 +111,67 @@ void for_each_block(std::size_t blocks, std::size_t bytes, ThreadPool& pool,
   parallel_for(0, blocks, fn, pool);
 }
 
-/// Trit digit of a plane value: -1/0/+1 -> 0/1/2.
-inline std::uint64_t trit(SigValue v) {
-  return static_cast<std::uint64_t>(static_cast<int>(v) + 1);
-}
-
-/// The four trits of a, b, c, d as one base-81 digit in [0, 80]. Summing
-/// in int and widening once per four planes keeps the vectorized fold at
-/// one 64-bit multiply-add per head.
-inline std::uint64_t trits4(SigValue a, SigValue b, SigValue c, SigValue d) {
-  return static_cast<std::uint32_t>(27 * a + 9 * b + 3 * c + d + 40);
-}
-
-/// k[i] = 81 k[i] + trits4(...) over n heads: four Horner steps in one
-/// pass. `src` holds the four planes; `cells` the heads' cells, or null
-/// when the heads are the consecutive cells first, first + 1, ...
-void fold4(std::uint64_t* __restrict k, const SigValue* const* src,
+/// Sign bits of up to eight planes at a head's cell, b = 0..m-1 at bit
+/// `shift + b`: kp[i] gains the +1 bits, kn[i] the -1 bits. Eight full
+/// planes at consecutive cells (`cells` null) run as one byte-lane pass
+/// widened once into the words.
+void fold8(std::uint64_t* __restrict kp, std::uint64_t* __restrict kn,
+           const SigValue* const* src, std::size_t m, std::size_t shift,
            const std::uint32_t* __restrict cells, std::uint32_t first, std::size_t n) {
-  if (cells == nullptr) {
-    const SigValue* __restrict a = src[0] + first;
-    const SigValue* __restrict b = src[1] + first;
-    const SigValue* __restrict c = src[2] + first;
-    const SigValue* __restrict d = src[3] + first;
-    for (std::size_t i = 0; i < n; ++i) k[i] = k[i] * 81 + trits4(a[i], b[i], c[i], d[i]);
+  if (m == 8 && cells == nullptr) {
+    const SigValue* __restrict a0 = src[0] + first;
+    const SigValue* __restrict a1 = src[1] + first;
+    const SigValue* __restrict a2 = src[2] + first;
+    const SigValue* __restrict a3 = src[3] + first;
+    const SigValue* __restrict a4 = src[4] + first;
+    const SigValue* __restrict a5 = src[5] + first;
+    const SigValue* __restrict a6 = src[6] + first;
+    const SigValue* __restrict a7 = src[7] + first;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto pos = static_cast<std::uint8_t>(
+          (a0[i] > 0) | (a1[i] > 0) << 1 | (a2[i] > 0) << 2 | (a3[i] > 0) << 3 |
+          (a4[i] > 0) << 4 | (a5[i] > 0) << 5 | (a6[i] > 0) << 6 | (a7[i] > 0) << 7);
+      const auto neg = static_cast<std::uint8_t>(
+          (a0[i] < 0) | (a1[i] < 0) << 1 | (a2[i] < 0) << 2 | (a3[i] < 0) << 3 |
+          (a4[i] < 0) << 4 | (a5[i] < 0) << 5 | (a6[i] < 0) << 6 | (a7[i] < 0) << 7);
+      kp[i] |= static_cast<std::uint64_t>(pos) << shift;
+      kn[i] |= static_cast<std::uint64_t>(neg) << shift;
+    }
     return;
   }
-  const SigValue* __restrict a = src[0];
-  const SigValue* __restrict b = src[1];
-  const SigValue* __restrict c = src[2];
-  const SigValue* __restrict d = src[3];
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t x = cells[i];
-    k[i] = k[i] * 81 + trits4(a[x], b[x], c[x], d[x]);
+  for (std::size_t b = 0; b < m; ++b) {
+    const SigValue* __restrict plane = src[b];
+    for (std::size_t i = 0; i < n; ++i) {
+      const SigValue v = plane[cells ? cells[i] : first + i];
+      kp[i] |= static_cast<std::uint64_t>(v > 0) << (shift + b);
+      kn[i] |= static_cast<std::uint64_t>(v < 0) << (shift + b);
+    }
   }
 }
 
-/// k[i] = 3 k[i] + trit: the single-plane Horner step for the planes past
-/// the last multiple of four in a word.
-void fold1(std::uint64_t* __restrict k, const SigValue* __restrict plane,
-           const std::uint32_t* __restrict cells, std::uint32_t first, std::size_t n) {
-  if (cells == nullptr) {
-    plane += first;
-    for (std::size_t i = 0; i < n; ++i) k[i] = k[i] * 3 + trit(plane[i]);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) k[i] = k[i] * 3 + trit(plane[cells[i]]);
-}
-
-/// Trit-pack heads [h0, h1) word-major: word w of head h is
-/// keys[w * nheads + h], the base-3 Horner value of planes
-/// [40w, min(dim, 40w + 40)) in plane order. Heads are strictly
-/// increasing cells, so when the block spans exactly h1 - h0 cells each
-/// plane is read as one contiguous byte run.
+/// Bit-pack heads [h0, h1) word-major: with W = ceil(dim / 64), word
+/// w < W of head h is keys[w * nheads + h], the +1 bits of planes
+/// [64w, min(dim, 64w + 64)), and word W + w their -1 bits — the head
+/// cell's signature in the SignatureTable bit-plane layout, which is
+/// injective on signatures. Heads are strictly increasing cells, so when
+/// the block spans exactly h1 - h0 cells each plane is read as one
+/// contiguous byte run.
 void pack_heads(const SigValue* const* planes, std::size_t dim, const std::uint32_t* heads,
                 std::size_t nheads, std::size_t h0, std::size_t h1, std::uint64_t* keys) {
   const std::size_t n = h1 - h0;
   const std::uint32_t first = heads[h0];
   const std::uint32_t* cells =
       heads[h1 - 1] - first == n - 1 ? nullptr : heads + h0;
-  for (std::size_t p0 = 0, w = 0; p0 < dim; p0 += kTritsPerWord, ++w) {
-    std::uint64_t* k = keys + w * nheads + h0;
-    std::fill(k, k + n, std::uint64_t{0});
-    const std::size_t p1 = std::min(dim, p0 + kTritsPerWord);
-    std::size_t p = p0;
-    for (; p + 4 <= p1; p += 4) fold4(k, planes + p, cells, first, n);
-    for (; p < p1; ++p) fold1(k, planes[p], cells, first, n);
+  const std::size_t words = SignatureTable::words_for(dim);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t* kp = keys + w * nheads + h0;
+    std::uint64_t* kn = keys + (words + w) * nheads + h0;
+    std::fill(kp, kp + n, std::uint64_t{0});
+    std::fill(kn, kn + n, std::uint64_t{0});
+    const std::size_t p0 = w * kPairsPerWord;
+    const std::size_t p1 = std::min(dim, p0 + kPairsPerWord);
+    for (std::size_t p = p0; p < p1; p += 8)
+      fold8(kp, kn, planes + p, std::min<std::size_t>(8, p1 - p), p - p0, cells, first, n);
   }
 }
 
@@ -728,11 +726,13 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   }
   const std::size_t nheads = heads.size();
 
-  // Trit-pack each head's signature into ceil(dim / 40) base-3 words: two
-  // heads have equal packed words iff their signatures are equal — the
-  // packing is injective. Keys are word-major (keys[w * nheads + h]) so
-  // each block of heads accumulates into contiguous words.
-  const std::size_t kw = (dim + kTritsPerWord - 1) / kTritsPerWord;
+  // Bit-pack each head's signature into its bit-plane words
+  // (2 * ceil(dim / 64): +1 bits, then -1 bits): two heads have equal
+  // packed words iff their signatures are equal — the packing is
+  // injective. Keys are word-major (keys[w * nheads + h]) so each block
+  // of heads accumulates into contiguous words.
+  const std::size_t half = SignatureTable::words_for(dim);
+  const std::size_t kw = 2 * half;
   std::vector<std::uint64_t>& keys = scratch_.keys;
   keys.resize(nheads * kw);  // every word is written by pack_heads
   {
@@ -758,6 +758,9 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   std::vector<std::uint32_t>& rep = scratch_.rep;  // representative (first) cell per face
   rep.clear();
   rep.reserve(nheads / 2 + 1);
+  std::vector<std::uint32_t>& rep_head = scratch_.rep_head;  // ... and its head index
+  rep_head.clear();
+  rep_head.reserve(nheads / 2 + 1);
   {
     FTTT_OBS_SPAN("facemap.assemble.group");
     constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
@@ -770,9 +773,12 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
     bucket_id.resize(cap);  // read only after its bucket_head is claimed
     const std::uint64_t* key_words = keys.data();
     for (std::size_t h = 0; h < nheads; ++h) {
+      // One mix step per (positive, negative) word pair; the halves
+      // never share a set bit, so folding the negative word in rotated
+      // keeps collisions rare.
       std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-      for (std::size_t w = 0; w < kw; ++w) {
-        x ^= key_words[w * nheads + h];
+      for (std::size_t w = 0; w < half; ++w) {
+        x ^= key_words[w * nheads + h] ^ std::rotl(key_words[(half + w) * nheads + h], 32);
         x *= 0xFF51AFD7ED558CCDULL;
         x ^= x >> 33;
       }
@@ -784,6 +790,7 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
           bucket_id[idx] = static_cast<std::uint32_t>(rep.size());
           group[h] = bucket_id[idx];
           rep.push_back(heads[h]);
+          rep_head.push_back(static_cast<std::uint32_t>(h));
           break;
         }
         std::size_t w = 0;
@@ -858,7 +865,7 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   // gathers the representative cells and zeroes its own padding, so a
   // recycled table needs no separate clearing pass.
   const std::size_t padded_faces = SignatureTable::padded_for(faces);
-  std::vector<SigValue> table = std::move(table_storage_);
+  std::vector<SigValue> table = std::move(table_storage_.data);
   {
     FTTT_OBS_SPAN("facemap.assemble.emit_table");
     table.resize(dim * padded_faces);
@@ -868,6 +875,28 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
     for_each_block(dim, dim * padded_faces, *pool_, [&](std::size_t p) {
       emit_row(plane_ptrs[p], rep_cells, faces, padded_faces, table_rows + p * padded_faces);
     });
+  }
+
+  // Bit planes: each face's record is its representative head's key
+  // words, gathered face-major — no second pass over the signatures. A
+  // 64-face block writes 64 contiguous records.
+  std::vector<std::uint64_t> bits = std::move(table_storage_.bits);
+  {
+    FTTT_OBS_SPAN("facemap.assemble.emit_planes");
+    bits.resize(faces * kw);
+    const std::uint64_t* key_words = keys.data();
+    const std::uint32_t* rep_heads = rep_head.data();
+    std::uint64_t* records = bits.data();
+    for_each_block((faces + kFaceBlock - 1) / kFaceBlock, faces * kw * sizeof(std::uint64_t),
+                   *pool_, [&](std::size_t b) {
+                     const std::size_t f0 = b * kFaceBlock;
+                     const std::size_t f1 = std::min(faces, f0 + kFaceBlock);
+                     for (std::size_t w = 0; w < kw; ++w) {
+                       const std::uint64_t* src = key_words + w * nheads;
+                       for (std::size_t f = f0; f < f1; ++f)
+                         records[f * kw + w] = src[rep_heads[f]];
+                     }
+                   });
   }
 
   // Per-face AoS signatures come off the finished table face-major in
@@ -899,7 +928,7 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   out.C_ = C_;
   facemap_detail::adjacency_from_links_into(links, faces, scratch_.adjacency,
                                             out.adjacency_);
-  table_ = SignatureTable(faces, dim, std::move(table));
+  table_ = SignatureTable(faces, dim, {std::move(table), std::move(bits)});
 }
 
 SignatureTable FaceMapBuilder::take_signature_table() {

@@ -14,12 +14,14 @@
 // a cached bitmask of the cells whose value differs from their left
 // neighbor, the active masks OR into one boundary mask per build, and
 // only the run-head cells (where any component changes) are grouped —
-// each head's signature trit-packs into base-3 64-bit words (an
-// injective encoding, so packed-word equality *is* signature equality)
-// and heads group by exact packed-key comparison — while run interiors
-// inherit their head's face. The per-face signatures
-// and the SignatureTable are then emitted in the table's final layout —
-// BatchMatcher adopts it with zero transposition.
+// each head's signature bit-packs into the SignatureTable's bit-plane
+// words (+1 bits, then -1 bits: an injective encoding, so packed-word
+// equality *is* signature equality) and heads group by exact packed-key
+// comparison — while run interiors inherit their head's face. The
+// per-face signatures and the SignatureTable, int8 planes and bit planes
+// alike, are then emitted in the table's final layout — BatchMatcher
+// adopts it with zero transposition, and the bit planes are a gather of
+// each face's representative key.
 //
 // Bit-equivalence contract: build() is *bit-identical* to
 // FaceMap::build on the active deployment — same cell -> face
@@ -273,9 +275,10 @@ class FaceMapBuilder {
   std::vector<std::uint64_t> last_rasterized_keys_;
 
   std::optional<SignatureTable> table_;  ///< product of the last build()
-  /// Plane storage reclaimed from a BuildProducts table, reused by the
-  /// next assemble (empty when nothing has been reclaimed).
-  std::vector<SigValue> table_storage_;
+  /// Plane storage (int8 and bit planes) reclaimed from a BuildProducts
+  /// table, reused by the next assemble (empty when nothing has been
+  /// reclaimed).
+  SignatureTable::Storage table_storage_;
 
   /// Assembly intermediates reused across builds: every vector keeps its
   /// capacity, so steady-state rebuilds touch the allocator only when a
@@ -289,11 +292,12 @@ class FaceMapBuilder {
     std::vector<const std::uint64_t*> masks;
     std::vector<std::uint64_t> boundary;         ///< OR of run-boundary masks
     std::vector<std::uint32_t> heads;            ///< run-head cell indices
-    std::vector<std::uint64_t> keys;             ///< trit-packed head signatures
+    std::vector<std::uint64_t> keys;             ///< bit-packed head signatures
     std::vector<std::uint32_t> bucket_head;      ///< open-addressing buckets
     std::vector<std::uint32_t> bucket_id;
     std::vector<std::uint32_t> group;            ///< head -> face id
     std::vector<std::uint32_t> rep;              ///< face -> representative cell
+    std::vector<std::uint32_t> rep_head;         ///< face -> its head index
     std::vector<Vec2> centroid_sum;
     std::vector<std::size_t> cell_count;
     std::vector<std::uint64_t> links;            ///< packed adjacency links

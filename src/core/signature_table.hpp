@@ -8,9 +8,18 @@
 // auto-vectorizable inner loop, and a '*' component skips a whole plane
 // instead of branching per face (the Eq. 7 wildcard lifted to a per-plane
 // mask).
+//
+// The table stores every signature a second time, bit-sliced: per face,
+// plane_words() = ceil(dimension / 64) *positive* words (bit c % 64 of
+// word c / 64 set where component c is +1) followed by as many *negative*
+// words (set where it is -1); bits past the dimension are zero. Basic-mode
+// vectors (every known component in {-1, 0, +1}) match against these
+// with an exact popcount kernel (docs/matching.md); extended-mode vectors
+// and the descent tier read the int8 planes.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/facemap.hpp"
@@ -22,6 +31,9 @@ class SignatureTable {
   /// Columns per padding block: one 64-byte cache line of int8 columns,
   /// so every plane starts line-aligned relative to the first.
   static constexpr std::size_t kBlock = 64;
+
+  /// Node pairs per bit-plane word.
+  static constexpr std::size_t kPairsPerWord = 64;
 
   explicit SignatureTable(const FaceMap& map);
 
@@ -41,35 +53,63 @@ class SignatureTable {
   /// streaming in hot loops — columns stride by padded_faces()).
   SigValue at(std::size_t pair, FaceId face) const { return plane(pair)[face]; }
 
+  /// Words per bit-sliced half (positive or negative) of one face.
+  std::size_t plane_words() const { return words_; }
+
+  /// Bit-sliced signature of `face`: plane_words() positive words, then
+  /// plane_words() negative words. Faces are contiguous, 2 * plane_words()
+  /// words apart.
+  const std::uint64_t* face_bits(FaceId face) const {
+    return bits_.data() + static_cast<std::size_t>(face) * 2 * words_;
+  }
+
   /// Padded plane stride for `faces` face columns.
   static constexpr std::size_t padded_for(std::size_t faces) {
     return (faces + kBlock - 1) / kBlock * kBlock;
   }
 
-  /// Payload bytes of the plane storage (FaceMapCache accounting).
-  std::size_t bytes() const { return data_.size() * sizeof(SigValue); }
+  /// Bit-plane words per half for `dimension` pairs.
+  static constexpr std::size_t words_for(std::size_t dimension) {
+    return (dimension + kPairsPerWord - 1) / kPairsPerWord;
+  }
+
+  /// Payload bytes of the int8 planes plus the bit planes (FaceMapCache
+  /// accounting).
+  std::size_t bytes() const {
+    return data_.size() * sizeof(SigValue) + bits_.size() * sizeof(std::uint64_t);
+  }
 
  private:
   friend class FaceMapBuilder;  ///< emits planes directly (no transposition)
 
-  /// Adopt prebuilt plane data (dimension planes of padded_for(faces)
-  /// columns, pad columns zero). Contract-checked, not validated against
-  /// a map: reserved for the plane-major builder, which derives the data
+  /// The table's two heap blocks, handed back and forth by the builder's
+  /// rebuild-into path.
+  struct Storage {
+    std::vector<SigValue> data;
+    std::vector<std::uint64_t> bits;
+  };
+
+  /// Adopt prebuilt plane data (dimension int8 planes of padded_for(faces)
+  /// columns, pad columns zero; faces x 2 x words_for(dimension) bit
+  /// words, tail bits zero). Contract-checked, not validated against a
+  /// map: reserved for the plane-major builder, which derives the data
   /// and the map from the same cell planes.
-  SignatureTable(std::size_t faces, std::size_t dimension, std::vector<SigValue> data);
+  SignatureTable(std::size_t faces, std::size_t dimension, Storage storage);
 
   /// Hand the plane storage back for reuse (FaceMapBuilder's
-  /// rebuild-into path round-trips one heap block through successive
+  /// rebuild-into path round-trips the heap blocks through successive
   /// tables). Leaves `t` empty.
-  static std::vector<SigValue> reclaim(SignatureTable&& t) {
-    t.face_count_ = t.dimension_ = t.padded_ = 0;
-    return std::move(t.data_);
+  static Storage reclaim(SignatureTable&& t) {
+    t.face_count_ = t.dimension_ = t.padded_ = t.words_ = 0;
+    return Storage{std::move(t.data_), std::move(t.bits_)};
   }
 
   std::size_t face_count_{0};
   std::size_t dimension_{0};
   std::size_t padded_{0};
-  std::vector<SigValue> data_;  ///< dimension_ planes of padded_ columns
+  std::size_t words_{0};
+  std::vector<SigValue> data_;       ///< dimension_ planes of padded_ columns
+  std::vector<std::uint64_t> bits_;  ///< face_count_ x 2 x words_ bit words
 };
 
 }  // namespace fttt

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
@@ -58,7 +60,12 @@ TEST(PrintBanner, ContainsTitle) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "fttt_csv_test.csv";
+  // One file per test and process: ctest runs each test as its own
+  // process, and a shared path lets one test's TearDown delete the file
+  // another is reading.
+  std::string path_ = ::testing::TempDir() + "fttt_csv_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+                      std::to_string(::getpid()) + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::string read_back() {

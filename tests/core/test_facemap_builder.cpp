@@ -165,19 +165,31 @@ TEST(FaceMapBuilder, MoveAndAddRasterizeOnlyTouchedPlanes) {
   expect_identical(got, FaceMap::build(builder.active_deployment(), C, kField, kCell));
 }
 
+/// The emitted table equals the one SignatureTable derives from the
+/// map: int8 planes (padding included) and bit planes word for word.
+void expect_table_matches(const SignatureTable& got, const FaceMap& map) {
+  const SignatureTable want(map);
+  ASSERT_EQ(got.face_count(), want.face_count());
+  ASSERT_EQ(got.dimension(), want.dimension());
+  ASSERT_EQ(got.padded_faces(), want.padded_faces());
+  ASSERT_EQ(got.plane_words(), want.plane_words());
+  ASSERT_EQ(got.bytes(), want.bytes());
+  for (std::size_t p = 0; p < want.dimension(); ++p)
+    for (std::size_t f = 0; f < want.padded_faces(); ++f)
+      ASSERT_EQ(got.plane(p)[f], want.plane(p)[f]) << "plane " << p << " col " << f;
+  for (std::size_t f = 0; f < want.face_count(); ++f)
+    for (std::size_t w = 0; w < 2 * want.plane_words(); ++w)
+      ASSERT_EQ(got.face_bits(static_cast<FaceId>(f))[w],
+                want.face_bits(static_cast<FaceId>(f))[w])
+          << "face " << f << " bit word " << w;
+}
+
 TEST(FaceMapBuilder, SignatureTableMatchesLegacyTransposition) {
   RngStream rng(23);
   const Deployment nodes = random_deployment(kField, 6, rng);
   FaceMapBuilder builder(nodes, 4.0, kField, kCell);
   const FaceMap map = builder.build();
-  const SignatureTable got = builder.take_signature_table();
-  const SignatureTable want(map);
-  ASSERT_EQ(got.face_count(), want.face_count());
-  ASSERT_EQ(got.dimension(), want.dimension());
-  ASSERT_EQ(got.padded_faces(), want.padded_faces());
-  for (std::size_t p = 0; p < want.dimension(); ++p)
-    for (std::size_t f = 0; f < want.padded_faces(); ++f)
-      ASSERT_EQ(got.plane(p)[f], want.plane(p)[f]) << "plane " << p << " col " << f;
+  expect_table_matches(builder.take_signature_table(), map);
 }
 
 TEST(FaceMapBuilder, TakeSignatureTableConsumes) {
@@ -252,13 +264,7 @@ TEST(FaceMapBuilder, BuildIntoBitIdenticalAcrossRosterResets) {
     builder->build_into(products);
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     expect_identical(*products.map, FaceMap::build(nodes, 2.0, kField, kCell));
-    const SignatureTable want(*products.map);
-    ASSERT_EQ(products.table->face_count(), want.face_count());
-    ASSERT_EQ(products.table->padded_faces(), want.padded_faces());
-    for (std::size_t p = 0; p < want.dimension(); ++p)
-      for (std::size_t f = 0; f < want.padded_faces(); ++f)
-        ASSERT_EQ(products.table->plane(p)[f], want.plane(p)[f])
-            << "plane " << p << " col " << f;
+    expect_table_matches(*products.table, *products.map);
     if (trial == 0) {
       first_map = products.map.get();
       first_table = products.table.get();
@@ -269,15 +275,6 @@ TEST(FaceMapBuilder, BuildIntoBitIdenticalAcrossRosterResets) {
   }
 }
 
-void expect_table_matches(const SignatureTable& got, const FaceMap& map) {
-  const SignatureTable want(map);
-  ASSERT_EQ(got.face_count(), want.face_count());
-  ASSERT_EQ(got.dimension(), want.dimension());
-  ASSERT_EQ(got.padded_faces(), want.padded_faces());
-  for (std::size_t p = 0; p < want.dimension(); ++p)
-    for (std::size_t f = 0; f < want.padded_faces(); ++f)
-      ASSERT_EQ(got.plane(p)[f], want.plane(p)[f]) << "plane " << p << " col " << f;
-}
 
 /// What a fixture exercises in the assembly kernels, read off the legacy
 /// map: a cell heads a run iff it starts a row or its face differs from

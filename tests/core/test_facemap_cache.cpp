@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/facemap.hpp"
+#include "core/signature_table.hpp"
 #include "net/deployment.hpp"
 
 namespace fttt {
@@ -109,6 +111,11 @@ TEST(FaceMapCache, BytesTrackResidentEntries) {
                                a.index->bytes();
   EXPECT_EQ(one_entry, expected);
   EXPECT_GT(one_entry, 0u);
+  // The table's bytes are its int8 planes plus its bit planes.
+  const SignatureTable& t = *a.table;
+  EXPECT_EQ(t.bytes(), t.dimension() * t.padded_faces() * sizeof(SigValue) +
+                           t.face_count() * 2 * t.plane_words() * sizeof(std::uint64_t));
+  EXPECT_EQ(t.plane_words(), SignatureTable::words_for(t.dimension()));
 
   // A hit adds nothing; a second entry adds its own payload.
   cache.get_or_build(four_nodes(), 1.1, kField, 1.0);

@@ -99,7 +99,8 @@ TEST(HierDescend, BitIdenticalToExhaustiveAcrossDeploymentShapes) {
         const SamplingVector vd = noisy_vector(*map, rng, i % 2 == 0);
         expect_argmax_identical(reference.match(*map, vd), matcher.descend(vd),
                                 "descend");
-        // match_one routes through the descent once a hierarchy exists.
+        // match_one routes extended-mode vectors through the descent once
+        // a hierarchy exists; basic-mode ones take the bit scan.
         expect_argmax_identical(reference.match(*map, vd), matcher.match_one(vd),
                                 "match_one routing");
       }
@@ -145,7 +146,9 @@ TEST(HierDescend, BatchMatchRoutesThroughDescentAboveAndBelowParallelCutoff) {
   BatchMatcher flat(map);
   // This map sits below the default fan-out threshold, so `hier` runs
   // every batch on the caller; `fanned` fans every multi-vector batch out
-  // over the pool. Both resolve through per-slot descent scratch.
+  // over the pool. Both resolve the extended-mode vectors through
+  // per-slot descent scratch (basic-mode ones take the bit scan, so the
+  // descent is checked on them directly).
   BatchMatcher hier(map);
   hier.build_hierarchy();
   BatchMatcher::Config fan_out;
@@ -162,8 +165,10 @@ TEST(HierDescend, BatchMatchRoutesThroughDescentAboveAndBelowParallelCutoff) {
     for (const BatchMatcher* m : {&hier, &fanned}) {
       const std::vector<MatchResult> got = m->match(batch);
       ASSERT_EQ(got.size(), expect.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
+      for (std::size_t i = 0; i < got.size(); ++i) {
         expect_argmax_identical(expect[i], got[i], "batch item");
+        expect_argmax_identical(expect[i], m->descend(batch[i]), "descend");
+      }
     }
   }
 }
@@ -269,12 +274,14 @@ TEST(HierDescend, HierarchicalTrackerMatchesFlatTrackerExactly) {
   FtttTracker::Config hier_cfg;
   hier_cfg.hierarchical = true;
   // Noisy vectors drawn anywhere in the field: most climbs end below the
-  // floor, so the exhaustive path (flat sweep vs descent) runs heavily.
+  // floor, so the exhaustive path runs heavily. Every other vector is
+  // extended-mode, which the tier descends (flat int8 sweep vs descent);
+  // basic-mode ones take the bit scan on both trackers.
   FtttTracker flat(map, flat_cfg);
   FtttTracker hier(map, hier_cfg);
   RngStream rng(12);
   for (int i = 0; i < 24; ++i) {
-    const SamplingVector vd = noisy_vector(*map, rng, false);
+    const SamplingVector vd = noisy_vector(*map, rng, i % 2 == 1);
     const TrackEstimate a = flat.localize(vd);
     const TrackEstimate b = hier.localize(vd);
     EXPECT_EQ(a.face, b.face);
@@ -324,7 +331,8 @@ std::vector<SamplingVector> served_vectors(const ServeShape& s, std::size_t trac
 
 TEST(HierDescend, DifferentialAgainstFlatAndSpecOnServedRosters) {
   // descend == match_one (flat) == ExhaustiveMatcher on every argmax
-  // field, single and batch, at 1 and 4 pool threads. Inputs: served
+  // field, at 1 and 4 pool threads, and the batch forms (basic-mode
+  // inputs: the bit scan, tier attached or not) agree too. Inputs: served
   // frames with dropout, all-'*', all-0, and the last face's signature
   // (its tile is the partial last one) with and without flips.
   ThreadPool one(1);
@@ -377,7 +385,7 @@ TEST(HierDescend, DifferentialAgainstFlatAndSpecOnServedRosters) {
       ASSERT_EQ(tiered_batch.size(), vectors.size());
       for (std::size_t i = 0; i < vectors.size(); ++i) {
         expect_argmax_identical(want[i], flat_batch[i], "flat batch");
-        expect_argmax_identical(want[i], tiered_batch[i], "descend batch");
+        expect_argmax_identical(want[i], tiered_batch[i], "tiered batch");
       }
     }
   }
@@ -438,7 +446,8 @@ TEST(HierDescend, SeededDescentIsIdenticalAtEveryPoolSize) {
       const MatchResult got = tiered.descend(vectors[i]);
       expect_argmax_identical(want[i], flat.match_one(vectors[i]), "flat match_one");
       expect_argmax_identical(want[i], got, "seeded descend");
-      // A batch of one runs on the caller, so its descent fans out too.
+      // A batch of one runs on the caller, so an extended vector's
+      // descent fans out too (a basic-mode one takes the bit scan).
       expect_argmax_identical(want[i], tiered.match({vectors[i]}).front(), "batch of one");
       if (threads == 1)
         examined.push_back(got.faces_examined);

@@ -40,8 +40,11 @@ BatchMatcher::Config fan_out() {
   return c;
 }
 
+/// Noisy face signatures; with `mixed`, every other vector is made
+/// extended-mode by one fractional component, so match() still descends
+/// for it (basic-mode vectors take the bit scan).
 std::vector<SamplingVector> make_batch(const FaceMap& map, std::size_t n,
-                                       std::uint64_t seed) {
+                                       std::uint64_t seed, bool mixed = false) {
   RngStream rng(seed);
   std::vector<SamplingVector> batch;
   batch.reserve(n);
@@ -53,6 +56,11 @@ std::vector<SamplingVector> make_batch(const FaceMap& map, std::size_t n,
     const std::size_t c = rng.uniform_index(vd.value.size());
     vd.value[c] = static_cast<double>(static_cast<int>(rng.uniform_index(3)) - 1);
     if (rng.bernoulli(0.3)) vd.known[rng.uniform_index(vd.known.size())] = false;
+    if (mixed && i % 2 == 1) {
+      const std::size_t e = rng.uniform_index(vd.value.size());
+      vd.value[e] = 0.5;
+      vd.known[e] = true;
+    }
     batch.push_back(std::move(vd));
   }
   return batch;
@@ -60,15 +68,24 @@ std::vector<SamplingVector> make_batch(const FaceMap& map, std::size_t n,
 
 TEST(HierParallel, BatchDescentIdenticalAcrossThreadCounts) {
   const auto map = make_map();
-  const std::vector<SamplingVector> batch = make_batch(*map, 128, 7);
+  const std::vector<SamplingVector> batch = make_batch(*map, 128, 7, /*mixed=*/true);
 
   ThreadPool one(1);
   ThreadPool two(2);
   ThreadPool eight(8);
+  // The batch descends its extended-mode half; descend() itself covers
+  // the basic-mode half.
   const auto run = [&](ThreadPool& pool) {
     BatchMatcher matcher(map, fan_out(), pool);
     matcher.build_hierarchy();
-    return matcher.match(batch);
+    std::vector<MatchResult> r = matcher.match(batch);
+    for (std::size_t i = 0; i < batch.size(); i += 2) {
+      const MatchResult d = matcher.descend(batch[i]);
+      EXPECT_EQ(r[i].face, d.face) << i;
+      EXPECT_EQ(r[i].similarity, d.similarity) << i;
+      EXPECT_EQ(r[i].tied_faces, d.tied_faces) << i;
+    }
+    return r;
   };
   const auto r1 = run(one);
   const auto r2 = run(two);
@@ -129,7 +146,8 @@ TEST(HierParallel, ConcurrentBatchCallsOnOneHierMatcher) {
   matcher.build_hierarchy();
 
   std::vector<std::vector<SamplingVector>> batches;
-  for (std::uint64_t s = 0; s < 4; ++s) batches.push_back(make_batch(*map, 48, 200 + s));
+  for (std::uint64_t s = 0; s < 4; ++s)
+    batches.push_back(make_batch(*map, 48, 200 + s, /*mixed=*/true));
 
   std::vector<std::vector<MatchResult>> results(batches.size());
   std::vector<std::thread> callers;

@@ -1,10 +1,13 @@
 #include "sim/gnuplot.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace fttt {
 namespace {
@@ -18,11 +21,14 @@ std::string slurp(const std::string& path) {
 
 class GnuplotTest : public ::testing::Test {
  protected:
-  std::string dir_ = ::testing::TempDir();
-  void TearDown() override {
-    std::remove((dir_ + "/t.dat").c_str());
-    std::remove((dir_ + "/t.gp").c_str());
-  }
+  // One directory per test and process: ctest runs each test as its own
+  // process, and shared t.dat/t.gp paths let one test's TearDown delete
+  // the files another is reading.
+  std::string dir_ = ::testing::TempDir() + "fttt_gnuplot_" +
+                     ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+                     std::to_string(::getpid());
+  void SetUp() override { std::filesystem::create_directories(dir_); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 };
 
 TEST_F(GnuplotTest, WritesDataBlocksAndScript) {
