@@ -340,6 +340,11 @@ struct BatchMatcher::Scratch {
   DescentScratch descent;
 };
 
+BatchMatcher::Scratch& BatchMatcher::thread_scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
 namespace {
 
 /// Chunk claims of one pool fan-out. Every participant — helper tasks
@@ -484,7 +489,8 @@ void BatchMatcher::similarities_into(const SamplingVector& vd, std::span<double>
   if (out.size() < table_->padded_faces())
     throw std::invalid_argument("BatchMatcher::similarities_into: output too small");
   const std::size_t words = table_->plane_words();
-  std::vector<std::uint64_t> code(3 * words);
+  std::vector<std::uint64_t>& code = thread_scratch().code;
+  code.resize(3 * words);
   if (!encode_bits(vd, code.data())) {
     similarities_unchecked(vd, out.data());
     return;
@@ -638,7 +644,7 @@ void BatchMatcher::localize_into(const SamplingVector& vd, const std::uint64_t* 
 
 MatchResult BatchMatcher::match_one(const SamplingVector& vd) const {
   require_dimension(vd);
-  Scratch s;
+  Scratch& s = thread_scratch();
   s.code.resize(3 * table_->plane_words());
   const bool basic = encode_bits(vd, s.code.data());
   if (!basic && hier_) return descend(vd);
@@ -969,20 +975,19 @@ struct BatchMatcher::BatchState {
   /// loses every chunk claim must not touch the caller-owned vector at all.
   std::size_t n{0};
   std::size_t chunk_size{0};
-  /// scratch[slot] is owned by bulk task `slot` (the caller uses the
-  /// last slot); a task runs on exactly one worker, so no slot is shared.
-  std::vector<Scratch> scratch;
   Claims claims;
 
-  void run(std::size_t slot) {
+  void run(std::size_t /*slot*/) {
     claims.run([&](std::size_t c) {
       const std::size_t lo = std::min(n, c * chunk_size);
       const std::size_t hi = std::min(n, lo + chunk_size);
       // One vector of a fanned-out batch: its scan or descent stays on
-      // this thread, the batch already holds the pool.
+      // this thread, the batch already holds the pool. Each participant
+      // runs on its own thread, so its thread scratch is its own.
+      Scratch& s = thread_scratch();
       for (std::size_t i = lo; i < hi; ++i)
-        matcher->localize_into((*batch)[i], basic[i] ? codes + i * code_words : nullptr,
-                               scratch[slot], results[i], /*may_fan_out=*/false);
+        matcher->localize_into((*batch)[i], basic[i] ? codes + i * code_words : nullptr, s,
+                               results[i], /*may_fan_out=*/false);
     });
   }
 };
@@ -1022,7 +1027,7 @@ std::vector<MatchResult> BatchMatcher::match(
   if (helpers == 0) {
     // A batch on the caller alone: each vector may fan its own scan or
     // candidate rescore out instead.
-    Scratch s;
+    Scratch& s = thread_scratch();
     for (std::size_t i = 0; i < n; ++i)
       localize_into(batch[i], basic[i] ? codes.data() + i * code_words : nullptr, s,
                     results[i], /*may_fan_out=*/true);
@@ -1039,7 +1044,6 @@ std::vector<MatchResult> BatchMatcher::match(
   state->n = n;
   state->chunk_size = (n + chunks - 1) / chunks;
   state->claims.chunks = chunks;
-  state->scratch.resize(helpers + 1);
   fan_out(*pool_, state, helpers);
   return results;
 }
@@ -1065,10 +1069,12 @@ MatchResult BatchMatcher::climb(const SamplingVector& vd, FaceId start) const {
   // Similarities of faces ids[0, n) into sims: a basic-mode vector scores
   // them in one bit-kernel call, an extended-mode one face by face.
   const std::size_t words = table_->plane_words();
-  std::vector<std::uint64_t> code(3 * words);
+  Scratch& scratch = thread_scratch();
+  std::vector<std::uint64_t>& code = scratch.code;
+  code.resize(3 * words);
   const bool basic = encode_bits(vd, code.data());
-  std::vector<std::uint32_t> d2;
-  std::vector<double> sims;
+  std::vector<std::uint32_t>& d2 = scratch.dist;
+  std::vector<double>& sims = scratch.acc;
   const auto score = [&](const FaceId* ids, std::size_t n) {
     sims.resize(n);
     if (basic) {

@@ -177,6 +177,14 @@ class BatchMatcher {
   struct BitScanState;
   struct Scratch;
 
+  /// The calling thread's matching scratch. climb(), match_one(),
+  /// similarities_into() and batch chunks run on pool workers and callers
+  /// alike; heap vectors per call would make every worker's malloc arena
+  /// keep its own copies, so each thread reuses one set instead. No
+  /// entry point holds it across a call that could use it again on the
+  /// same thread.
+  static Scratch& thread_scratch();
+
   /// The one routing rule of match() and match_one(): a basic-mode vector
   /// (`code` its encode_bits words, or null) takes the bit scan, then an
   /// extended-mode one the descent when a tier is attached, else the

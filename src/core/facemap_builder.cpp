@@ -111,40 +111,61 @@ void for_each_block(std::size_t blocks, std::size_t bytes, ThreadPool& pool,
   parallel_for(0, blocks, fn, pool);
 }
 
-/// Sign bits of up to eight planes at a head's cell, b = 0..m-1 at bit
-/// `shift + b`: kp[i] gains the +1 bits, kn[i] the -1 bits. Eight full
-/// planes at consecutive cells (`cells` null) run as one byte-lane pass
-/// widened once into the words.
+/// Sign bits of eight planes at one cell: bit b of .first is plane b's
+/// +1, bit b of .second its -1.
+inline std::pair<std::uint8_t, std::uint8_t> signs8(
+    const SigValue* a0, const SigValue* a1, const SigValue* a2, const SigValue* a3,
+    const SigValue* a4, const SigValue* a5, const SigValue* a6, const SigValue* a7,
+    std::size_t x) {
+  const auto pos = static_cast<std::uint8_t>(
+      (a0[x] > 0) | (a1[x] > 0) << 1 | (a2[x] > 0) << 2 | (a3[x] > 0) << 3 |
+      (a4[x] > 0) << 4 | (a5[x] > 0) << 5 | (a6[x] > 0) << 6 | (a7[x] > 0) << 7);
+  const auto neg = static_cast<std::uint8_t>(
+      (a0[x] < 0) | (a1[x] < 0) << 1 | (a2[x] < 0) << 2 | (a3[x] < 0) << 3 |
+      (a4[x] < 0) << 4 | (a5[x] < 0) << 5 | (a6[x] < 0) << 6 | (a7[x] < 0) << 7);
+  return {pos, neg};
+}
+
+/// Sign bits of up to eight planes at each head's cell, plane b at bit
+/// `shift + b`: kp[i] gains the +1 bits, kn[i] the -1 bits. `cells` holds
+/// the heads' cells, or is null when they are first, first + 1, ...; a
+/// full group of eight is one byte-lane pass widened once into the words.
 void fold8(std::uint64_t* __restrict kp, std::uint64_t* __restrict kn,
            const SigValue* const* src, std::size_t m, std::size_t shift,
            const std::uint32_t* __restrict cells, std::uint32_t first, std::size_t n) {
-  if (m == 8 && cells == nullptr) {
-    const SigValue* __restrict a0 = src[0] + first;
-    const SigValue* __restrict a1 = src[1] + first;
-    const SigValue* __restrict a2 = src[2] + first;
-    const SigValue* __restrict a3 = src[3] + first;
-    const SigValue* __restrict a4 = src[4] + first;
-    const SigValue* __restrict a5 = src[5] + first;
-    const SigValue* __restrict a6 = src[6] + first;
-    const SigValue* __restrict a7 = src[7] + first;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto pos = static_cast<std::uint8_t>(
-          (a0[i] > 0) | (a1[i] > 0) << 1 | (a2[i] > 0) << 2 | (a3[i] > 0) << 3 |
-          (a4[i] > 0) << 4 | (a5[i] > 0) << 5 | (a6[i] > 0) << 6 | (a7[i] > 0) << 7);
-      const auto neg = static_cast<std::uint8_t>(
-          (a0[i] < 0) | (a1[i] < 0) << 1 | (a2[i] < 0) << 2 | (a3[i] < 0) << 3 |
-          (a4[i] < 0) << 4 | (a5[i] < 0) << 5 | (a6[i] < 0) << 6 | (a7[i] < 0) << 7);
-      kp[i] |= static_cast<std::uint64_t>(pos) << shift;
-      kn[i] |= static_cast<std::uint64_t>(neg) << shift;
+  if (m == 8) {
+    const SigValue* __restrict a0 = src[0];
+    const SigValue* __restrict a1 = src[1];
+    const SigValue* __restrict a2 = src[2];
+    const SigValue* __restrict a3 = src[3];
+    const SigValue* __restrict a4 = src[4];
+    const SigValue* __restrict a5 = src[5];
+    const SigValue* __restrict a6 = src[6];
+    const SigValue* __restrict a7 = src[7];
+    const auto put = [&](std::size_t i, std::pair<std::uint8_t, std::uint8_t> b) {
+      kp[i] |= static_cast<std::uint64_t>(b.first) << shift;
+      kn[i] |= static_cast<std::uint64_t>(b.second) << shift;
+    };
+    if (cells == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) put(i, signs8(a0, a1, a2, a3, a4, a5, a6, a7, first + i));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) put(i, signs8(a0, a1, a2, a3, a4, a5, a6, a7, cells[i]));
     }
     return;
   }
   for (std::size_t b = 0; b < m; ++b) {
     const SigValue* __restrict plane = src[b];
-    for (std::size_t i = 0; i < n; ++i) {
-      const SigValue v = plane[cells ? cells[i] : first + i];
-      kp[i] |= static_cast<std::uint64_t>(v > 0) << (shift + b);
-      kn[i] |= static_cast<std::uint64_t>(v < 0) << (shift + b);
+    const std::size_t at = shift + b;
+    if (cells == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        kp[i] |= static_cast<std::uint64_t>(plane[first + i] > 0) << at;
+        kn[i] |= static_cast<std::uint64_t>(plane[first + i] < 0) << at;
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        kp[i] |= static_cast<std::uint64_t>(plane[cells[i]] > 0) << at;
+        kn[i] |= static_cast<std::uint64_t>(plane[cells[i]] < 0) << at;
+      }
     }
   }
 }
