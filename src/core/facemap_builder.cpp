@@ -1,6 +1,7 @@
 #include "core/facemap_builder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -111,108 +112,6 @@ void for_each_block(std::size_t blocks, std::size_t bytes, ThreadPool& pool,
   parallel_for(0, blocks, fn, pool);
 }
 
-/// Sign bits of eight planes at one cell: bit b of .first is plane b's
-/// +1, bit b of .second its -1.
-inline std::pair<std::uint8_t, std::uint8_t> signs8(
-    const SigValue* a0, const SigValue* a1, const SigValue* a2, const SigValue* a3,
-    const SigValue* a4, const SigValue* a5, const SigValue* a6, const SigValue* a7,
-    std::size_t x) {
-  const auto pos = static_cast<std::uint8_t>(
-      (a0[x] > 0) | (a1[x] > 0) << 1 | (a2[x] > 0) << 2 | (a3[x] > 0) << 3 |
-      (a4[x] > 0) << 4 | (a5[x] > 0) << 5 | (a6[x] > 0) << 6 | (a7[x] > 0) << 7);
-  const auto neg = static_cast<std::uint8_t>(
-      (a0[x] < 0) | (a1[x] < 0) << 1 | (a2[x] < 0) << 2 | (a3[x] < 0) << 3 |
-      (a4[x] < 0) << 4 | (a5[x] < 0) << 5 | (a6[x] < 0) << 6 | (a7[x] < 0) << 7);
-  return {pos, neg};
-}
-
-/// Sign bits of up to eight planes at each head's cell, plane b at bit
-/// `shift + b`: kp[i] gains the +1 bits, kn[i] the -1 bits. `cells` holds
-/// the heads' cells, or is null when they are first, first + 1, ...; a
-/// full group of eight is one byte-lane pass widened once into the words.
-void fold8(std::uint64_t* __restrict kp, std::uint64_t* __restrict kn,
-           const SigValue* const* src, std::size_t m, std::size_t shift,
-           const std::uint32_t* __restrict cells, std::uint32_t first, std::size_t n) {
-  if (m == 8) {
-    const SigValue* __restrict a0 = src[0];
-    const SigValue* __restrict a1 = src[1];
-    const SigValue* __restrict a2 = src[2];
-    const SigValue* __restrict a3 = src[3];
-    const SigValue* __restrict a4 = src[4];
-    const SigValue* __restrict a5 = src[5];
-    const SigValue* __restrict a6 = src[6];
-    const SigValue* __restrict a7 = src[7];
-    const auto put = [&](std::size_t i, std::pair<std::uint8_t, std::uint8_t> b) {
-      kp[i] |= static_cast<std::uint64_t>(b.first) << shift;
-      kn[i] |= static_cast<std::uint64_t>(b.second) << shift;
-    };
-    if (cells == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) put(i, signs8(a0, a1, a2, a3, a4, a5, a6, a7, first + i));
-    } else {
-      for (std::size_t i = 0; i < n; ++i) put(i, signs8(a0, a1, a2, a3, a4, a5, a6, a7, cells[i]));
-    }
-    return;
-  }
-  for (std::size_t b = 0; b < m; ++b) {
-    const SigValue* __restrict plane = src[b];
-    const std::size_t at = shift + b;
-    if (cells == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        kp[i] |= static_cast<std::uint64_t>(plane[first + i] > 0) << at;
-        kn[i] |= static_cast<std::uint64_t>(plane[first + i] < 0) << at;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        kp[i] |= static_cast<std::uint64_t>(plane[cells[i]] > 0) << at;
-        kn[i] |= static_cast<std::uint64_t>(plane[cells[i]] < 0) << at;
-      }
-    }
-  }
-}
-
-/// Bit-pack heads [h0, h1) word-major: with W = ceil(dim / 64), word
-/// w < W of head h is keys[w * nheads + h], the +1 bits of planes
-/// [64w, min(dim, 64w + 64)), and word W + w their -1 bits — the head
-/// cell's signature in the SignatureTable bit-plane layout, which is
-/// injective on signatures. Heads are strictly increasing cells, so when
-/// the block spans exactly h1 - h0 cells each plane is read as one
-/// contiguous byte run.
-void pack_heads(const SigValue* const* planes, std::size_t dim, const std::uint32_t* heads,
-                std::size_t nheads, std::size_t h0, std::size_t h1, std::uint64_t* keys) {
-  const std::size_t n = h1 - h0;
-  const std::uint32_t first = heads[h0];
-  const std::uint32_t* cells =
-      heads[h1 - 1] - first == n - 1 ? nullptr : heads + h0;
-  const std::size_t words = SignatureTable::words_for(dim);
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t* kp = keys + w * nheads + h0;
-    std::uint64_t* kn = keys + (words + w) * nheads + h0;
-    std::fill(kp, kp + n, std::uint64_t{0});
-    std::fill(kn, kn + n, std::uint64_t{0});
-    const std::size_t p0 = w * kPairsPerWord;
-    const std::size_t p1 = std::min(dim, p0 + kPairsPerWord);
-    for (std::size_t p = p0; p < p1; p += 8)
-      fold8(kp, kn, planes + p, std::min<std::size_t>(8, p1 - p), p - p0, cells, first, n);
-  }
-}
-
-/// One SoA table row: row[f] = plane[rep[f]] for every face, then zero
-/// padding up to `padded`. rep is strictly increasing, so a 64-face block
-/// whose cells span exactly 64 is one contiguous copy.
-void emit_row(const SigValue* __restrict plane, const std::uint32_t* __restrict rep,
-              std::size_t faces, std::size_t padded, SigValue* __restrict row) {
-  std::size_t f = 0;
-  for (; f + kFaceBlock <= faces; f += kFaceBlock) {
-    if (rep[f + kFaceBlock - 1] - rep[f] == kFaceBlock - 1) {
-      std::memcpy(row + f, plane + rep[f], kFaceBlock);
-    } else {
-      for (std::size_t i = f; i < f + kFaceBlock; ++i) row[i] = plane[rep[i]];
-    }
-  }
-  for (; f < faces; ++f) row[f] = plane[rep[f]];
-  std::fill(row + faces, row + padded, SigValue{0});
-}
-
 /// In-register transpose of an 8 x 8 byte tile: on return byte r of t[c]
 /// is what byte c of t[r] was. Three rounds swap 4-, 2- and 1-byte
 /// sub-blocks across rows 4, 2 and 1 apart.
@@ -235,6 +134,127 @@ inline void transpose8x8(std::uint64_t t[8]) {
     t[i] = (a & 0x00FF00FF00FF00FFULL) | ((b & 0x00FF00FF00FF00FFULL) << 8);
     t[i + 1] = ((a >> 8) & 0x00FF00FF00FF00FFULL) | (b & 0xFF00FF00FF00FF00ULL);
   }
+}
+
+/// Sign bits of up to eight planes in byte lanes: bit b of pos[i] is
+/// set where plane src[b] is +1 at head i's cell, of neg[i] where it is
+/// -1; bits b >= m stay clear. `cells` holds the heads' cells, or is null
+/// when they are first, first + 1, ... (one contiguous byte run per plane).
+void fold_bytes(const SigValue* const* src, std::size_t m, const std::uint32_t* __restrict cells,
+                std::uint32_t first, std::size_t n, std::uint8_t* __restrict pos,
+                std::uint8_t* __restrict neg) {
+  // A plane byte is 0x01, 0x00 or 0xFF: its top bit is the -1 flag, and
+  // its low bit without the top bit the +1 flag — pure byte arithmetic,
+  // so the contiguous loop vectorizes without compares or branches.
+  const auto fold = [](std::uint8_t& p, std::uint8_t& q, SigValue v, std::size_t b) {
+    const auto u = static_cast<std::uint8_t>(v);
+    const auto sign = static_cast<std::uint8_t>(u >> 7);
+    p = static_cast<std::uint8_t>(p | (((u ^ sign) & 1u) << b));
+    q = static_cast<std::uint8_t>(q | (sign << b));
+  };
+  if (m == 8 && cells == nullptr) {
+    // The common case, unrolled: eight byte runs folded in one pass, the
+    // lanes written once.
+    const SigValue* __restrict r0 = src[0] + first;
+    const SigValue* __restrict r1 = src[1] + first;
+    const SigValue* __restrict r2 = src[2] + first;
+    const SigValue* __restrict r3 = src[3] + first;
+    const SigValue* __restrict r4 = src[4] + first;
+    const SigValue* __restrict r5 = src[5] + first;
+    const SigValue* __restrict r6 = src[6] + first;
+    const SigValue* __restrict r7 = src[7] + first;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint8_t p = 0;
+      std::uint8_t q = 0;
+      fold(p, q, r0[i], 0);
+      fold(p, q, r1[i], 1);
+      fold(p, q, r2[i], 2);
+      fold(p, q, r3[i], 3);
+      fold(p, q, r4[i], 4);
+      fold(p, q, r5[i], 5);
+      fold(p, q, r6[i], 6);
+      fold(p, q, r7[i], 7);
+      pos[i] = p;
+      neg[i] = q;
+    }
+    return;
+  }
+  std::fill(pos, pos + n, std::uint8_t{0});
+  std::fill(neg, neg + n, std::uint8_t{0});
+  for (std::size_t b = 0; b < m; ++b) {
+    const SigValue* __restrict plane = src[b];
+    if (cells == nullptr) {
+      const SigValue* __restrict run = plane + first;
+      for (std::size_t i = 0; i < n; ++i) fold(pos[i], neg[i], run[i], b);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) fold(pos[i], neg[i], plane[cells[i]], b);
+    }
+  }
+}
+
+/// Bit-pack heads [h0, h1) head-major: with W = ceil(dim / 64), word
+/// w < W of head h is keys[h * 2W + w], the +1 bits of planes
+/// [64w, min(dim, 64w + 64)), and word W + w their -1 bits — the head
+/// cell's signature in the SignatureTable face record layout, which is
+/// injective on signatures. Each word is folded as eight byte lanes of
+/// eight planes, and eight heads' lanes become their eight words through
+/// one 8 x 8 byte transpose. Heads are strictly increasing cells, so when
+/// the block spans exactly h1 - h0 cells each plane is read as one
+/// contiguous byte run. At most kHeadBlock heads per call.
+void pack_heads(const SigValue* const* planes, std::size_t dim, const std::uint32_t* heads,
+                std::size_t h0, std::size_t h1, std::uint64_t* keys) {
+  const std::size_t n = h1 - h0;
+  FTTT_DCHECK(n <= kHeadBlock, "head block of ", n, " heads exceeds ", kHeadBlock);
+  const std::uint32_t first = heads[h0];
+  const std::uint32_t* cells =
+      heads[h1 - 1] - first == n - 1 ? nullptr : heads + h0;
+  const std::size_t words = SignatureTable::words_for(dim);
+  std::array<std::array<std::uint8_t, kHeadBlock>, 8> pos;
+  std::array<std::array<std::uint8_t, kHeadBlock>, 8> neg;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t p0 = w * kPairsPerWord;
+    for (std::size_t g = 0; g < 8; ++g) {
+      const std::size_t p = p0 + 8 * g;
+      const std::size_t m = p < dim ? std::min<std::size_t>(8, dim - p) : 0;
+      fold_bytes(planes + std::min(p, dim), m, cells, first, n, pos[g].data(), neg[g].data());
+    }
+    // Word w of head h0 + i lands at out[i * stride].
+    const std::size_t stride = 2 * words;
+    const auto interleave = [&](const std::array<std::array<std::uint8_t, kHeadBlock>, 8>& lanes,
+                                std::uint64_t* out) {
+      std::size_t i = 0;
+      for (; i + 8 <= n; i += 8) {
+        std::uint64_t t[8];
+        for (std::size_t g = 0; g < 8; ++g) std::memcpy(&t[g], lanes[g].data() + i, 8);
+        transpose8x8(t);
+        for (std::size_t c = 0; c < 8; ++c) out[(i + c) * stride] = t[c];
+      }
+      for (; i < n; ++i) {
+        std::uint64_t k = 0;
+        for (std::size_t g = 0; g < 8; ++g) k |= static_cast<std::uint64_t>(lanes[g][i]) << (8 * g);
+        out[i * stride] = k;
+      }
+    };
+    interleave(pos, keys + h0 * stride + w);
+    interleave(neg, keys + h0 * stride + words + w);
+  }
+}
+
+/// One SoA table row: row[f] = plane[rep[f]] for every face, then zero
+/// padding up to `padded`. rep is strictly increasing, so a 64-face block
+/// whose cells span exactly 64 is one contiguous copy.
+void emit_row(const SigValue* __restrict plane, const std::uint32_t* __restrict rep,
+              std::size_t faces, std::size_t padded, SigValue* __restrict row) {
+  std::size_t f = 0;
+  for (; f + kFaceBlock <= faces; f += kFaceBlock) {
+    if (rep[f + kFaceBlock - 1] - rep[f] == kFaceBlock - 1) {
+      std::memcpy(row + f, plane + rep[f], kFaceBlock);
+    } else {
+      for (std::size_t i = f; i < f + kFaceBlock; ++i) row[i] = plane[rep[i]];
+    }
+  }
+  for (; f < faces; ++f) row[f] = plane[rep[f]];
+  std::fill(row + faces, row + padded, SigValue{0});
 }
 
 /// Per-face signatures of faces [f0, f1) off the finished table:
@@ -750,8 +770,9 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   // Bit-pack each head's signature into its bit-plane words
   // (2 * ceil(dim / 64): +1 bits, then -1 bits): two heads have equal
   // packed words iff their signatures are equal — the packing is
-  // injective. Keys are word-major (keys[w * nheads + h]) so each block
-  // of heads accumulates into contiguous words.
+  // injective. Keys are head-major (keys[h * kw + w]), each head's words
+  // one SignatureTable face record, so grouping compares contiguous
+  // words and emission copies whole records.
   const std::size_t half = SignatureTable::words_for(dim);
   const std::size_t kw = 2 * half;
   std::vector<std::uint64_t>& keys = scratch_.keys;
@@ -763,7 +784,7 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
     std::uint64_t* key_words = keys.data();
     for_each_block((nheads + kHeadBlock - 1) / kHeadBlock, nheads * dim, *pool_,
                    [&](std::size_t b) {
-                     pack_heads(plane_ptrs, dim, head_cells, nheads, b * kHeadBlock,
+                     pack_heads(plane_ptrs, dim, head_cells, b * kHeadBlock,
                                 std::min(nheads, (b + 1) * kHeadBlock), key_words);
                    });
   }
@@ -799,7 +820,7 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
       // keeps collisions rare.
       std::uint64_t x = 0x9E3779B97F4A7C15ULL;
       for (std::size_t w = 0; w < half; ++w) {
-        x ^= key_words[w * nheads + h] ^ std::rotl(key_words[(half + w) * nheads + h], 32);
+        x ^= key_words[h * kw + w] ^ std::rotl(key_words[h * kw + half + w], 32);
         x *= 0xFF51AFD7ED558CCDULL;
         x ^= x >> 33;
       }
@@ -814,9 +835,8 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
           rep_head.push_back(static_cast<std::uint32_t>(h));
           break;
         }
-        std::size_t w = 0;
-        while (w < kw && key_words[w * nheads + h] == key_words[w * nheads + occupant]) ++w;
-        if (w == kw) {
+        if (std::equal(key_words + h * kw, key_words + (h + 1) * kw,
+                       key_words + static_cast<std::size_t>(occupant) * kw)) {
           group[h] = bucket_id[idx];
           break;
         }
@@ -899,25 +919,22 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   }
 
   // Bit planes: each face's record is its representative head's key
-  // words, gathered face-major — no second pass over the signatures. A
-  // 64-face block writes 64 contiguous records.
-  std::vector<std::uint64_t> bits = std::move(table_storage_.bits);
+  // record. Face ids number heads in first-occurrence order, so rep_head
+  // is strictly increasing and the records compact forward in place;
+  // the key storage then becomes the table's bit planes (and the
+  // reclaimed planes the next build's keys) — no pass over the
+  // signatures, and no copy at all where every head is its own face.
+  std::vector<std::uint64_t> bits;
   {
     FTTT_OBS_SPAN("facemap.assemble.emit_planes");
-    bits.resize(faces * kw);
-    const std::uint64_t* key_words = keys.data();
-    const std::uint32_t* rep_heads = rep_head.data();
-    std::uint64_t* records = bits.data();
-    for_each_block((faces + kFaceBlock - 1) / kFaceBlock, faces * kw * sizeof(std::uint64_t),
-                   *pool_, [&](std::size_t b) {
-                     const std::size_t f0 = b * kFaceBlock;
-                     const std::size_t f1 = std::min(faces, f0 + kFaceBlock);
-                     for (std::size_t w = 0; w < kw; ++w) {
-                       const std::uint64_t* src = key_words + w * nheads;
-                       for (std::size_t f = f0; f < f1; ++f)
-                         records[f * kw + w] = src[rep_heads[f]];
-                     }
-                   });
+    std::uint64_t* records = keys.data();
+    for (std::size_t f = 0; f < faces; ++f)
+      if (rep_head[f] != f)
+        std::memmove(records + f * kw, records + static_cast<std::size_t>(rep_head[f]) * kw,
+                     kw * sizeof(std::uint64_t));
+    keys.resize(faces * kw);
+    bits.swap(keys);
+    keys.swap(table_storage_.bits);
   }
 
   // Per-face AoS signatures come off the finished table face-major in
