@@ -555,61 +555,6 @@ bool BatchMatcher::encode_bits(const SamplingVector& vd, std::uint64_t* code) co
   return true;
 }
 
-/// Shared bookkeeping of one bit scan's fan-out: chunk c scans faces
-/// [c * chunk_faces, (c + 1) * chunk_faces) into its own slice of
-/// `dist`. The caller-owned pointers are dereferenced only inside a
-/// claimed chunk (see Claims).
-struct BatchMatcher::BitScanState {
-  const std::uint64_t* bits{nullptr};
-  const std::uint64_t* code{nullptr};
-  std::uint32_t* dist{nullptr};
-  std::size_t words{0};
-  std::size_t faces{0};
-  std::size_t chunk_faces{0};
-  Claims claims;
-
-  void run(std::size_t /*slot*/) {
-    claims.run([&](std::size_t c) {
-      const std::size_t lo = std::min(faces, c * chunk_faces);
-      const std::size_t hi = std::min(faces, lo + chunk_faces);
-      detail::bit_distances(bits, words, code, nullptr, lo, hi - lo, dist + lo);
-    });
-  }
-};
-
-void BatchMatcher::bit_scan(const std::uint64_t* code, std::uint32_t* dist,
-                            bool may_fan_out) const {
-  const std::size_t faces = table_->face_count();
-  const std::size_t words = table_->plane_words();
-  // The descent's fan-out rule, costed for the bit kernel: one helper
-  // per min_cells_per_helper cells of work, and no more runnable threads
-  // than the pool has workers.
-  const std::size_t blocks = (faces + kBitBlock - 1) / kBitBlock;
-  std::size_t helpers = 0;
-  std::size_t chunks = 0;
-  if (may_fan_out && blocks > 1 && !pool_->stopped()) {
-    const std::size_t workers = pool_->thread_count();
-    const std::size_t budget = pool_->is_worker_thread() ? workers - 1 : workers;
-    chunks = std::min(blocks, (budget + 1) * 4);
-    helpers = std::min({budget, chunks - 1,
-                        faces * words * kBitWordCells / config_.min_cells_per_helper});
-  }
-  if (helpers == 0) {
-    detail::bit_distances(table_->face_bits(0), words, code, nullptr, 0, faces, dist);
-    return;
-  }
-  auto state = std::make_shared<BitScanState>();
-  state->bits = table_->face_bits(0);
-  state->code = code;
-  state->dist = dist;
-  state->words = words;
-  state->faces = faces;
-  state->chunk_faces = (blocks + chunks - 1) / chunks * kBitBlock;
-  state->claims.chunks = chunks;
-  fan_out(*pool_, state, helpers);
-  FTTT_OBS_COUNT("matcher.bitscan.helpers", helpers);
-}
-
 void BatchMatcher::select_bits(const std::uint32_t* dist, MatchResult& out) const {
   // The spec's chain keeps the maximum similarity and every face equal
   // to it. Similarity falls monotonically with the integer distance, so
@@ -632,7 +577,8 @@ void BatchMatcher::localize_into(const SamplingVector& vd, const std::uint64_t* 
   if (code) {
     FTTT_OBS_COUNT("matcher.planes.skipped", vd.unknown_count());
     s.dist.resize(table_->face_count());
-    bit_scan(code, s.dist.data(), may_fan_out);
+    detail::bit_distances(table_->face_bits(0), table_->plane_words(), code, nullptr, 0,
+                          table_->face_count(), s.dist.data());
     select_bits(s.dist.data(), out);
   } else if (hier_) {
     descend_into(vd, s.descent, out, may_fan_out);
@@ -981,8 +927,8 @@ struct BatchMatcher::BatchState {
     claims.run([&](std::size_t c) {
       const std::size_t lo = std::min(n, c * chunk_size);
       const std::size_t hi = std::min(n, lo + chunk_size);
-      // One vector of a fanned-out batch: its scan or descent stays on
-      // this thread, the batch already holds the pool. Each participant
+      // One vector of a fanned-out batch: its descent stays on this
+      // thread, the batch already holds the pool. Each participant
       // runs on its own thread, so its thread scratch is its own.
       Scratch& s = thread_scratch();
       for (std::size_t i = lo; i < hi; ++i)
@@ -1025,7 +971,7 @@ std::vector<MatchResult> BatchMatcher::match(
   const std::size_t helpers =
       std::min({workers - 1, chunks - 1, cells / config_.min_cells_per_helper});
   if (helpers == 0) {
-    // A batch on the caller alone: each vector may fan its own scan or
+    // A batch on the caller alone: each descent may fan its own
     // candidate rescore out instead.
     Scratch& s = thread_scratch();
     for (std::size_t i = 0; i < n; ++i)

@@ -174,7 +174,6 @@ class BatchMatcher {
   struct BatchState;
   struct DescentScratch;
   struct RescoreState;
-  struct BitScanState;
   struct Scratch;
 
   /// The calling thread's matching scratch. climb(), match_one(),
@@ -188,8 +187,8 @@ class BatchMatcher {
   /// The one routing rule of match() and match_one(): a basic-mode vector
   /// (`code` its encode_bits words, or null) takes the bit scan, then an
   /// extended-mode one the descent when a tier is attached, else the
-  /// int8 flat scan. Fan-outs (bit scan or descent rescore) only when
-  /// `may_fan_out`.
+  /// int8 flat scan. The bit scan runs on the calling thread; the
+  /// descent's rescore fans out only when `may_fan_out`.
   void localize_into(const SamplingVector& vd, const std::uint64_t* code, Scratch& s,
                      MatchResult& out, bool may_fan_out) const;
 
@@ -203,12 +202,7 @@ class BatchMatcher {
   /// some known component is not -1, 0 or +1 (an extended-mode vector).
   bool encode_bits(const SamplingVector& vd, std::uint64_t* code) const;
 
-  /// Exact squared distances of every face to the encoded vector `code`
-  /// into dist[0, face_count()); fans out over face blocks only when
-  /// `may_fan_out` and the work pays.
-  void bit_scan(const std::uint64_t* code, std::uint32_t* dist, bool may_fan_out) const;
-
-  /// The spec's selection over bit_scan distances: the maximum
+  /// The spec's selection over detail::bit_distances: the maximum
   /// similarity is the minimum distance's, and the tied faces are those
   /// whose distance maps to that very double (detail::tied_distance_ceiling).
   void select_bits(const std::uint32_t* dist, MatchResult& out) const;

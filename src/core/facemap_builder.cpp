@@ -76,8 +76,8 @@ constexpr double kDegenerateSeparation2 = 1e-12;
 // cells heads a run and nearly every head is its own face, so assembly
 // moves 2016 planes x ~10k faces of signature bytes three times: into
 // the packed keys, into the SoA table and into the per-face signatures.
-// The packed keys are the table's bit planes, so those are a gather of
-// each face's key words, not a fourth pass over the signatures. The
+// The packed keys are the table's bit planes, so those cost a copy of
+// each face's key record, not a fourth pass over the signatures. The
 // kernels below do each pass on whole words inside cache-sized blocks,
 // and the stages fan the blocks out over the builder's pool.
 // Every block writes bytes no other block touches, so the products are
@@ -136,23 +136,21 @@ inline void transpose8x8(std::uint64_t t[8]) {
   }
 }
 
-/// Sign bits of up to eight planes in byte lanes: bit b of pos[i] is
-/// set where plane src[b] is +1 at head i's cell, of neg[i] where it is
-/// -1; bits b >= m stay clear. `cells` holds the heads' cells, or is null
-/// when they are first, first + 1, ... (one contiguous byte run per plane).
-void fold_bytes(const SigValue* const* src, std::size_t m, const std::uint32_t* __restrict cells,
-                std::uint32_t first, std::size_t n, std::uint8_t* __restrict pos,
-                std::uint8_t* __restrict neg) {
+/// Sign bits of up to eight planes over the cell run [first, first + n)
+/// in byte lanes: bit b of pos[i] is set where plane src[b] is +1 at
+/// cell first + i, of neg[i] where it is -1; bits b >= m stay clear.
+void fold_bytes(const SigValue* const* src, std::size_t m, std::uint32_t first, std::size_t n,
+                std::uint8_t* __restrict pos, std::uint8_t* __restrict neg) {
   // A plane byte is 0x01, 0x00 or 0xFF: its top bit is the -1 flag, and
   // its low bit without the top bit the +1 flag — pure byte arithmetic,
-  // so the contiguous loop vectorizes without compares or branches.
+  // so the loops vectorize without compares or branches.
   const auto fold = [](std::uint8_t& p, std::uint8_t& q, SigValue v, std::size_t b) {
     const auto u = static_cast<std::uint8_t>(v);
     const auto sign = static_cast<std::uint8_t>(u >> 7);
     p = static_cast<std::uint8_t>(p | (((u ^ sign) & 1u) << b));
     q = static_cast<std::uint8_t>(q | (sign << b));
   };
-  if (m == 8 && cells == nullptr) {
+  if (m == 8) {
     // The common case, unrolled: eight byte runs folded in one pass, the
     // lanes written once.
     const SigValue* __restrict r0 = src[0] + first;
@@ -182,13 +180,32 @@ void fold_bytes(const SigValue* const* src, std::size_t m, const std::uint32_t* 
   std::fill(pos, pos + n, std::uint8_t{0});
   std::fill(neg, neg + n, std::uint8_t{0});
   for (std::size_t b = 0; b < m; ++b) {
-    const SigValue* __restrict plane = src[b];
-    if (cells == nullptr) {
-      const SigValue* __restrict run = plane + first;
-      for (std::size_t i = 0; i < n; ++i) fold(pos[i], neg[i], run[i], b);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fold(pos[i], neg[i], plane[cells[i]], b);
-    }
+    const SigValue* __restrict run = src[b] + first;
+    for (std::size_t i = 0; i < n; ++i) fold(pos[i], neg[i], run[i], b);
+  }
+}
+
+/// A head run this many times longer than its head count is read head by
+/// head rather than folded whole (measured at n = 10 and 20 on a 1 m grid).
+constexpr std::size_t kSparseRun = 4;
+
+/// Eight planes' byte lanes of kHeadBlock cells or heads.
+using Lanes = std::array<std::array<std::uint8_t, kHeadBlock>, 8>;
+
+/// out[i * stride] = the word whose byte g is lanes[g][i], for i < n:
+/// eight heads at a time through one 8 x 8 byte transpose.
+void interleave(const Lanes& lanes, std::size_t n, std::size_t stride, std::uint64_t* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t t[8];
+    for (std::size_t g = 0; g < 8; ++g) std::memcpy(&t[g], lanes[g].data() + i, 8);
+    transpose8x8(t);
+    for (std::size_t c = 0; c < 8; ++c) out[(i + c) * stride] = t[c];
+  }
+  for (; i < n; ++i) {
+    std::uint64_t k = 0;
+    for (std::size_t g = 0; g < 8; ++g) k |= static_cast<std::uint64_t>(lanes[g][i]) << (8 * g);
+    out[i * stride] = k;
   }
 }
 
@@ -196,47 +213,71 @@ void fold_bytes(const SigValue* const* src, std::size_t m, const std::uint32_t* 
 /// w < W of head h is keys[h * 2W + w], the +1 bits of planes
 /// [64w, min(dim, 64w + 64)), and word W + w their -1 bits — the head
 /// cell's signature in the SignatureTable face record layout, which is
-/// injective on signatures. Each word is folded as eight byte lanes of
-/// eight planes, and eight heads' lanes become their eight words through
-/// one 8 x 8 byte transpose. Heads are strictly increasing cells, so when
-/// the block spans exactly h1 - h0 cells each plane is read as one
-/// contiguous byte run. At most kHeadBlock heads per call.
+/// injective on signatures. Planes are read as contiguous cell runs of at
+/// most kHeadBlock cells, folded eight at a time into byte lanes; where
+/// heads skip run interiors their lanes are picked out of the run's, or,
+/// on a sparse run, read head by head.
 void pack_heads(const SigValue* const* planes, std::size_t dim, const std::uint32_t* heads,
                 std::size_t h0, std::size_t h1, std::uint64_t* keys) {
-  const std::size_t n = h1 - h0;
-  FTTT_DCHECK(n <= kHeadBlock, "head block of ", n, " heads exceeds ", kHeadBlock);
-  const std::uint32_t first = heads[h0];
-  const std::uint32_t* cells =
-      heads[h1 - 1] - first == n - 1 ? nullptr : heads + h0;
   const std::size_t words = SignatureTable::words_for(dim);
-  std::array<std::array<std::uint8_t, kHeadBlock>, 8> pos;
-  std::array<std::array<std::uint8_t, kHeadBlock>, 8> neg;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::size_t p0 = w * kPairsPerWord;
-    for (std::size_t g = 0; g < 8; ++g) {
-      const std::size_t p = p0 + 8 * g;
-      const std::size_t m = p < dim ? std::min<std::size_t>(8, dim - p) : 0;
-      fold_bytes(planes + std::min(p, dim), m, cells, first, n, pos[g].data(), neg[g].data());
+  const std::size_t stride = 2 * words;
+  Lanes pos;
+  Lanes neg;
+  Lanes picked_pos;
+  Lanes picked_neg;
+  for (std::size_t j0 = h0; j0 < h1;) {
+    // The heads whose cells lie in the run [c0, c0 + kHeadBlock).
+    const std::uint32_t c0 = heads[j0];
+    std::size_t j1 = j0 + 1;
+    while (j1 < h1 && heads[j1] - c0 < kHeadBlock) ++j1;
+    const std::size_t n = j1 - j0;
+    const std::size_t span = heads[j1 - 1] - c0 + 1;
+    // Heads far sparser than their run (long runs, few pairs): read
+    // each head's cell alone instead of folding the whole run.
+    const bool sparse = span > kSparseRun * n;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t p0 = w * kPairsPerWord;
+      if (sparse) {
+        for (std::size_t g = 0; g < 8; ++g) {
+          const std::size_t p = p0 + 8 * g;
+          const std::size_t m = p < dim ? std::min<std::size_t>(8, dim - p) : 0;
+          for (std::size_t k = 0; k < n; ++k) {
+            std::uint8_t bp = 0;
+            std::uint8_t bn = 0;
+            for (std::size_t b = 0; b < m; ++b) {
+              const auto u = static_cast<std::uint8_t>(planes[p + b][heads[j0 + k]]);
+              const auto sign = static_cast<std::uint8_t>(u >> 7);
+              bp = static_cast<std::uint8_t>(bp | (((u ^ sign) & 1u) << b));
+              bn = static_cast<std::uint8_t>(bn | (sign << b));
+            }
+            picked_pos[g][k] = bp;
+            picked_neg[g][k] = bn;
+          }
+        }
+        interleave(picked_pos, n, stride, keys + j0 * stride + w);
+        interleave(picked_neg, n, stride, keys + j0 * stride + words + w);
+        continue;
+      }
+      for (std::size_t g = 0; g < 8; ++g) {
+        const std::size_t p = p0 + 8 * g;
+        const std::size_t m = p < dim ? std::min<std::size_t>(8, dim - p) : 0;
+        fold_bytes(planes + std::min(p, dim), m, c0, span, pos[g].data(), neg[g].data());
+      }
+      const Lanes* lp = &pos;
+      const Lanes* ln = &neg;
+      if (span != n) {
+        for (std::size_t g = 0; g < 8; ++g)
+          for (std::size_t k = 0; k < n; ++k) {
+            picked_pos[g][k] = pos[g][heads[j0 + k] - c0];
+            picked_neg[g][k] = neg[g][heads[j0 + k] - c0];
+          }
+        lp = &picked_pos;
+        ln = &picked_neg;
+      }
+      interleave(*lp, n, stride, keys + j0 * stride + w);
+      interleave(*ln, n, stride, keys + j0 * stride + words + w);
     }
-    // Word w of head h0 + i lands at out[i * stride].
-    const std::size_t stride = 2 * words;
-    const auto interleave = [&](const std::array<std::array<std::uint8_t, kHeadBlock>, 8>& lanes,
-                                std::uint64_t* out) {
-      std::size_t i = 0;
-      for (; i + 8 <= n; i += 8) {
-        std::uint64_t t[8];
-        for (std::size_t g = 0; g < 8; ++g) std::memcpy(&t[g], lanes[g].data() + i, 8);
-        transpose8x8(t);
-        for (std::size_t c = 0; c < 8; ++c) out[(i + c) * stride] = t[c];
-      }
-      for (; i < n; ++i) {
-        std::uint64_t k = 0;
-        for (std::size_t g = 0; g < 8; ++g) k |= static_cast<std::uint64_t>(lanes[g][i]) << (8 * g);
-        out[i * stride] = k;
-      }
-    };
-    interleave(pos, keys + h0 * stride + w);
-    interleave(neg, keys + h0 * stride + words + w);
+    j0 = j1;
   }
 }
 
@@ -773,9 +814,18 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   // injective. Keys are head-major (keys[h * kw + w]), each head's words
   // one SignatureTable face record, so grouping compares contiguous
   // words and emission copies whole records.
+  //
+  // A table reclaimed by build_into hands its bit block back; the keys
+  // are then packed into it and compacted in place into this table's
+  // planes, one block per builder. Otherwise (build(), whose table is
+  // taken for good) the keys are builder scratch and emission copies the
+  // records into a block sized to the faces.
   const std::size_t half = SignatureTable::words_for(dim);
   const std::size_t kw = 2 * half;
-  std::vector<std::uint64_t>& keys = scratch_.keys;
+  const bool in_place = table_storage_.bits.capacity() != 0;
+  std::vector<std::uint64_t> reclaimed = std::move(table_storage_.bits);
+  if (in_place) std::vector<std::uint64_t>().swap(scratch_.keys);
+  std::vector<std::uint64_t>& keys = in_place ? reclaimed : scratch_.keys;
   keys.resize(nheads * kw);  // every word is written by pack_heads
   {
     FTTT_OBS_SPAN("facemap.assemble.pack");
@@ -815,12 +865,11 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
     bucket_id.resize(cap);  // read only after its bucket_head is claimed
     const std::uint64_t* key_words = keys.data();
     for (std::size_t h = 0; h < nheads; ++h) {
-      // One mix step per (positive, negative) word pair; the halves
-      // never share a set bit, so folding the negative word in rotated
-      // keeps collisions rare.
+      // One mix step per (positive, negative) word pair: the negative
+      // word enters through its own multiply, off the mix chain.
       std::uint64_t x = 0x9E3779B97F4A7C15ULL;
       for (std::size_t w = 0; w < half; ++w) {
-        x ^= key_words[h * kw + w] ^ std::rotl(key_words[h * kw + half + w], 32);
+        x ^= key_words[h * kw + w] + key_words[h * kw + half + w] * 0xC2B2AE3D27D4EB4FULL;
         x *= 0xFF51AFD7ED558CCDULL;
         x ^= x >> 33;
       }
@@ -919,22 +968,34 @@ void FaceMapBuilder::assemble_into(const Deployment& active,
   }
 
   // Bit planes: each face's record is its representative head's key
-  // record. Face ids number heads in first-occurrence order, so rep_head
-  // is strictly increasing and the records compact forward in place;
-  // the key storage then becomes the table's bit planes (and the
-  // reclaimed planes the next build's keys) — no pass over the
-  // signatures, and no copy at all where every head is its own face.
+  // record — no pass over the signatures. Face ids number heads in
+  // first-occurrence order, so rep_head is strictly increasing and the
+  // records compact forward in place.
   std::vector<std::uint64_t> bits;
   {
     FTTT_OBS_SPAN("facemap.assemble.emit_planes");
-    std::uint64_t* records = keys.data();
-    for (std::size_t f = 0; f < faces; ++f)
-      if (rep_head[f] != f)
-        std::memmove(records + f * kw, records + static_cast<std::size_t>(rep_head[f]) * kw,
-                     kw * sizeof(std::uint64_t));
-    keys.resize(faces * kw);
-    bits.swap(keys);
-    keys.swap(table_storage_.bits);
+    if (in_place) {
+      std::uint64_t* records = keys.data();
+      for (std::size_t f = 0; f < faces; ++f)
+        if (rep_head[f] != f)
+          std::memmove(records + f * kw, records + static_cast<std::size_t>(rep_head[f]) * kw,
+                       kw * sizeof(std::uint64_t));
+      keys.resize(faces * kw);
+      bits = std::move(keys);
+    } else {
+      bits.resize(faces * kw);
+      const std::uint64_t* records = keys.data();
+      const std::uint32_t* rep_heads = rep_head.data();
+      std::uint64_t* face_records = bits.data();
+      for_each_block((faces + kFaceBlock - 1) / kFaceBlock, faces * kw * sizeof(std::uint64_t),
+                     *pool_, [&](std::size_t b) {
+                       const std::size_t f1 = std::min(faces, (b + 1) * kFaceBlock);
+                       for (std::size_t f = b * kFaceBlock; f < f1; ++f)
+                         std::memcpy(face_records + f * kw,
+                                     records + static_cast<std::size_t>(rep_heads[f]) * kw,
+                                     kw * sizeof(std::uint64_t));
+                     });
+    }
   }
 
   // Per-face AoS signatures come off the finished table face-major in

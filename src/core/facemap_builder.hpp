@@ -20,8 +20,8 @@
 // comparison — while run interiors inherit their head's face. The
 // per-face signatures and the SignatureTable, int8 planes and bit planes
 // alike, are then emitted in the table's final layout — BatchMatcher
-// adopts it with zero transposition, and the bit planes are a gather of
-// each face's representative key.
+// adopts it with zero transposition, and the bit planes are a copy of
+// each face's representative key record.
 //
 // Bit-equivalence contract: build() is *bit-identical* to
 // FaceMap::build on the active deployment — same cell -> face
@@ -292,7 +292,7 @@ class FaceMapBuilder {
     std::vector<const std::uint64_t*> masks;
     std::vector<std::uint64_t> boundary;         ///< OR of run-boundary masks
     std::vector<std::uint32_t> heads;            ///< run-head cell indices
-    std::vector<std::uint64_t> keys;             ///< bit-packed head signatures
+    std::vector<std::uint64_t> keys;             ///< bit-packed head signatures (build())
     std::vector<std::uint32_t> bucket_head;      ///< open-addressing buckets
     std::vector<std::uint32_t> bucket_id;
     std::vector<std::uint32_t> group;            ///< head -> face id

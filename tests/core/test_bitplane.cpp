@@ -131,7 +131,7 @@ TEST(BitPlanes, TableBitSlicesEverySignature) {
 TEST(BitPlanes, BuilderPlanesEqualDerivedOnEveryGeometry) {
   // Random, lattice and degenerate (coincident-heavy cross) rosters,
   // through a fail/revive sequence and the rebuild-into path: the
-  // builder's gathered keys are the planes the spec map derives.
+  // builder's copied key records are the planes the spec map derives.
   RngStream rng(17);
   struct Shape {
     const char* name;

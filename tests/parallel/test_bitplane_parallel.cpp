@@ -2,9 +2,9 @@
 // build has no clones, so there it drives the generic kernel): match(),
 // match_one(), similarities_into() and climb() equal the scalar spec on
 // every argmax field at pools of 1, 2, 4 and 8 workers, with every fan-out
-// forced — the batch over vectors, a lone vector's scan over face blocks,
-// and mixed batches whose extended-mode vectors take the int8 scan or the
-// descent.
+// forced — the batch over vectors and an extended-mode vector's descent
+// rescore — and mixed batches whose extended-mode vectors take the int8
+// scan or the descent.
 #include "core/batch_matcher.hpp"
 
 #include <gtest/gtest.h>
@@ -25,8 +25,7 @@ namespace {
 
 const Aabb kField{{0.0, 0.0}, {40.0, 40.0}};
 
-/// Enough faces for several 256-face scan blocks, so a lone vector's
-/// scan has blocks to fan out.
+/// Enough faces for several 256-face scan blocks.
 std::shared_ptr<const FaceMap> make_map(std::size_t sensors, std::uint64_t seed) {
   RngStream rng(seed);
   const Deployment nodes = random_deployment(kField, sensors, rng);
@@ -80,7 +79,7 @@ void expect_argmax(const MatchResult& want, const MatchResult& got, const char* 
 
 TEST(BitPlaneParallel, EveryEntryPointEqualsSpecAtEveryPoolSize) {
   const auto map = make_map(12, 3);
-  ASSERT_GT(map->face_count(), 512u) << "fixture too small to fan a lone scan out";
+  ASSERT_GT(map->face_count(), 512u) << "fixture too small to span several scan blocks";
   const std::vector<SamplingVector> vectors = make_vectors(*map, 24, 5);
   const ExhaustiveMatcher spec;
   const HeuristicMatcher heuristic;
@@ -115,8 +114,9 @@ TEST(BitPlaneParallel, EveryEntryPointEqualsSpecAtEveryPoolSize) {
 }
 
 TEST(BitPlaneParallel, ConcurrentLoneScansShareOnePool) {
-  // Several callers each fan their own lone scans out over one pool: no
-  // chunk is lost or run twice, and every caller gets the spec's answer.
+  // Several callers share one matcher and pool: each thread scans with
+  // its own scratch, extended-mode descents fan out over the shared pool,
+  // and every caller gets the spec's answer.
   const auto map = make_map(11, 9);
   ThreadPool pool(4);
   const BatchMatcher matcher(map, fan_out(), pool);
