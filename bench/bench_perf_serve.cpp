@@ -2,9 +2,9 @@
 //
 // Feeds a TrackManagerFleet a pre-generated multi-target report stream
 // and times the steady-state service loop against a per-track scalar
-// reference (one cold ExhaustiveMatcher-equivalent match_one per frame,
-// no warm starts, no batching, no fan-out) — the loop a naive service
-// would run. Emits BENCH_serve.json; tools/fttt_perfcmp.py gates the
+// reference (one cold ExhaustiveMatcher match per frame, no warm starts,
+// no batching, no fan-out) — the loop a naive service would run, on the
+// spec, so the reference does not move when the engine's kernels do. Emits BENCH_serve.json; tools/fttt_perfcmp.py gates the
 // serve_batched row's speedup_vs_scalar (its throughput over
 // scalar_per_track's) against bench/baselines/BENCH_serve.json
 // (docs/perf.md has the procedure).
@@ -42,9 +42,9 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_matcher.hpp"
 #include "core/facemap_builder.hpp"
 #include "core/facemap_cache.hpp"
+#include "core/matcher.hpp"
 #include "core/sampling_vector.hpp"
 #include "perf_harness.hpp"
 #include "serve/fleet.hpp"
@@ -241,12 +241,12 @@ int main(int argc, char** argv) {
   volatile double sink = 0.0;  // defeat whole-loop elision
   std::uint64_t scalar_locs = 0;
 
-  // Scalar reference: cold per-frame exhaustive localization, one at a
-  // time, single-threaded — the same coverage gate, none of the serve
-  // machinery.
+  // Scalar reference: cold per-frame exhaustive localization on the
+  // spec, one at a time, single-threaded — the same coverage gate, none
+  // of the serve machinery.
   const FaceMapCache::Entry entry =
       cache.get_or_build(roster, channel.C, cfg.field, cfg.grid_cell, single);
-  const BatchMatcher matcher(entry.map, entry.table, BatchMatcher::Config{}, single);
+  const ExhaustiveMatcher matcher;
   const bench::Variant scalar{[&] {
     std::uint64_t locs = 0;
     double acc = 0.0;
@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
         const SamplingVector vd = build_sampling_vector(
             frame.group, base_config.track.eps, base_config.track.mode,
             base_config.track.missing);
-        acc += matcher.match_one(vd).similarity;
+        acc += matcher.match(*entry.map, vd).similarity;
         ++locs;
       }
     sink = acc;

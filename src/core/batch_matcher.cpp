@@ -108,8 +108,8 @@ void similarity_from_squares(double* __restrict acc, const std::uint32_t* __rest
   for (std::size_t f = 0; f < len; ++f) acc[f] = 1.0 / std::sqrt(static_cast<double>(d2[f]));
 }
 
-/// Faces per block of the bit scan: its fan-out chunks are whole blocks,
-/// and similarities_into stages one block of distances at a time.
+/// Faces per block of the bit scan: similarities_into stages one block
+/// of distances at a time.
 constexpr std::size_t kBitBlock = 256;
 
 /// Exact squared distance of one face record (`fp`: words positive bit
